@@ -25,6 +25,18 @@ const matrix::RatingMatrix& World() {
   return m;
 }
 
+// The service benchmark's larger scale (perfbench read_zipf: 4000x2000).
+const matrix::RatingMatrix& LargeWorld() {
+  static const matrix::RatingMatrix m = [] {
+    util::SetLogLevel(util::LogLevel::kWarn);
+    data::SyntheticConfig config;
+    config.num_users = 4000;
+    config.num_items = 2000;
+    return data::GenerateSynthetic(config);
+  }();
+  return m;
+}
+
 void BM_PearsonSparseUsers(benchmark::State& state) {
   const auto& m = World();
   matrix::UserId a = 0;
@@ -52,24 +64,31 @@ void BM_PearsonSparseItems(benchmark::State& state) {
 BENCHMARK(BM_PearsonSparseItems);
 
 void BM_GisBuild(benchmark::State& state) {
-  const auto& m = World();
+  const auto& m = state.range(1) != 0 ? LargeWorld() : World();
   sim::GisConfig config;
   config.parallel = state.range(0) != 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(sim::GlobalItemSimilarity::Build(m, config));
   }
 }
-BENCHMARK(BM_GisBuild)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GisBuild)
+    ->ArgNames({"parallel", "large"})
+    ->ArgsProduct({{0, 1}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_GisRefreshOneItem(benchmark::State& state) {
-  const auto& m = World();
+  const auto& m = state.range(0) != 0 ? LargeWorld() : World();
   auto gis = sim::GlobalItemSimilarity::Build(m);
   const matrix::ItemId touched[] = {42};
   for (auto _ : state) {
     gis.RefreshItems(m, touched);
   }
 }
-BENCHMARK(BM_GisRefreshOneItem)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GisRefreshOneItem)
+    ->ArgName("large")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_UserSimilarityBuild(benchmark::State& state) {
   const auto& m = World();

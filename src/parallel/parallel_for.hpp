@@ -2,12 +2,15 @@
 //
 // ParallelFor partitions [begin, end) into chunks and runs the body on the
 // shared pool; the calling thread participates via Wait().  Grain-size
-// control lets hot loops (GIS accumulation) use coarse static chunks while
-// irregular loops (per-user smoothing) use dynamic self-scheduling.
+// control lets regular loops use coarse static chunks while irregular
+// loops (the GIS kernel's per-item rows, per-user smoothing) use dynamic
+// self-scheduling.
 //
 // ParallelReduce builds per-chunk partial results and combines them on the
-// calling thread, so bodies need no atomics and results are deterministic
-// for associative+commutative combiners over any chunking.
+// calling thread in chunk order, so bodies need no atomics.  The result is
+// independent of the chunking only for exact combiners (integer sums,
+// min/max, set union): floating-point partial sums round differently per
+// chunk count, and the chunk count follows the pool size.
 #pragma once
 
 #include <atomic>

@@ -1,12 +1,13 @@
 // Global Item Similarity matrix — the paper's GIS (Section IV-B).
 //
-// All item–item Pearson correlations (Eq. 5) are computed in one pass
-// over the matrix: for each user, every pair of items in their row
-// contributes to that pair's (dot, sq_a, sq_b, count) accumulators.  This
-// costs Σ_u |I{u}|² pair updates instead of Q² row intersections — for the
-// paper's 500×1000 matrix that is ~4.4 M updates instead of ~250 M merge
-// steps.  The pass is parallelised over users with per-chunk triangular
-// accumulators merged at the end.
+// All item–item Pearson correlations (Eq. 5) come from one item-major
+// kernel (BuildPairRows below): for item a it walks each rater's row
+// past a into an O(Q) per-thread scratch — Σ_u |I{u}|²/2 pair updates in
+// all, with no all-pairs accumulator.  Build runs it over every item and
+// mirrors the upper halves; RefreshItems runs it on the touched items and
+// splices their entries into the other rows.  Each pair sums its
+// co-raters in ascending-user order either way, so a build is the same
+// bit for bit at any pool size and a refresh equals a rebuild.
 //
 // Per the paper, rows are sorted in descending similarity and thresholds
 // filter "less important items" so "the size of GIS [is] greatly reduced".
@@ -18,6 +19,10 @@
 
 #include "matrix/rating_matrix.hpp"
 
+namespace cfsf::par {
+class ThreadPool;
+}  // namespace cfsf::par
+
 namespace cfsf::sim {
 
 /// One neighbour in a similarity list.
@@ -27,6 +32,50 @@ struct Neighbor {
 
   friend bool operator==(const Neighbor&, const Neighbor&) = default;
 };
+
+/// Neighbour-row order: descending similarity, ties by ascending index.
+inline bool NeighborBefore(const Neighbor& x, const Neighbor& y) {
+  if (x.similarity != y.similarity) return x.similarity > y.similarity;
+  return x.index < y.index;
+}
+
+/// Sorts `row` into NeighborBefore order and cuts it to `max_neighbors`
+/// (0 = no cap).
+void SortAndCap(std::vector<Neighbor>& row, std::size_t max_neighbors);
+
+/// The side of the matrix an all-pairs build correlates.
+enum class PairSide {
+  kItems,  // items over their common raters (GIS, Eq. 5)
+  kUsers,  // users over their common items (Eq. 6)
+};
+
+/// Thresholds and execution of an all-pairs build.
+struct PairConfig {
+  double min_similarity = 0.0;  // keep only similarities strictly above
+  std::size_t min_overlap = 2;
+  std::size_t max_neighbors = 0;  // per-row cap after sorting (0 = none)
+  bool significance_weighting = false;
+  std::size_t significance_cutoff = 50;
+  bool parallel = true;  // the rows are the same either way
+};
+
+/// Every entity's filtered neighbour row, sorted and capped, from the
+/// entity-major all-pairs kernel: each entity's upper half (partners with
+/// a larger index) under a dynamic ParallelFor on `pool` (nullptr = the
+/// shared pool), mirrored into the partners' rows, then sorted.
+/// `centre[e]` is subtracted from e's ratings: its mean for PCC, 0 for
+/// the cosine.  The rows do not depend on the pool size.
+std::vector<std::vector<Neighbor>> BuildPairRows(
+    const matrix::RatingMatrix& matrix, PairSide side,
+    std::span<const double> centre, const PairConfig& config,
+    par::ThreadPool* pool = nullptr);
+
+/// The whole filtered row of each of `ids` (every partner but itself),
+/// unsorted and uncapped, from the same kernel.
+std::vector<std::vector<Neighbor>> FullPairRows(
+    const matrix::RatingMatrix& matrix, PairSide side,
+    std::span<const double> centre, const PairConfig& config,
+    std::span<const std::uint32_t> ids);
 
 /// Similarity function for the all-pairs build.  The paper selects PCC
 /// over Pure Cosine Similarity "because PCS does not consider the
@@ -48,7 +97,7 @@ struct GisConfig {
   /// Multiply each similarity by min(overlap, cutoff)/cutoff.
   bool significance_weighting = false;
   std::size_t significance_cutoff = 50;
-  /// Use the shared thread pool for the accumulation pass.
+  /// Run the kernel on the thread pool (the rows are the same either way).
   bool parallel = true;
 };
 
@@ -82,7 +131,9 @@ class GlobalItemSimilarity {
 
   /// Incremental maintenance (the paper's "keep GIS up-to-date" future
   /// work): recompute the rows of `items` — and their appearance in other
-  /// rows — against the given (updated) matrix.
+  /// rows — against the given (updated) matrix.  The result equals
+  /// Build(matrix, config()) exactly when `items` lists every item whose
+  /// ratings changed.
   void RefreshItems(const matrix::RatingMatrix& matrix,
                     std::span<const matrix::ItemId> items);
 

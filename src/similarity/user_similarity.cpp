@@ -1,37 +1,11 @@
 #include "similarity/user_similarity.hpp"
 
 #include <algorithm>
-#include <cmath>
 
-#include "parallel/parallel_for.hpp"
 #include "similarity/kernels.hpp"
 #include "util/error.hpp"
 
 namespace cfsf::sim {
-
-namespace {
-
-struct PairAcc {
-  double dot = 0.0;
-  double sq_a = 0.0;
-  double sq_b = 0.0;
-  std::uint32_t count = 0;
-};
-
-std::size_t TriSize(std::size_t n) { return n * (n - 1) / 2; }
-
-inline std::size_t TriIndex(std::size_t n, std::size_t a, std::size_t b) {
-  return a * n - a * (a + 1) / 2 + (b - a - 1);
-}
-
-void SortRow(std::vector<Neighbor>& row) {
-  std::sort(row.begin(), row.end(), [](const Neighbor& x, const Neighbor& y) {
-    if (x.similarity != y.similarity) return x.similarity > y.similarity;
-    return x.index < y.index;
-  });
-}
-
-}  // namespace
 
 double UserPcc(const matrix::RatingMatrix& matrix, matrix::UserId a,
                matrix::UserId b) {
@@ -42,82 +16,13 @@ double UserPcc(const matrix::RatingMatrix& matrix, matrix::UserId a,
 
 UserSimilarityMatrix UserSimilarityMatrix::Build(
     const matrix::RatingMatrix& matrix, const UserSimilarityConfig& config) {
-  const std::size_t p = matrix.num_users();
-  const std::size_t q = matrix.num_items();
-
+  std::vector<double> user_mean;
+  user_mean.reserve(matrix.num_users());
+  for (std::size_t u = 0; u < matrix.num_users(); ++u) {
+    user_mean.push_back(matrix.UserMean(static_cast<matrix::UserId>(u)));
+  }
   UserSimilarityMatrix usm;
-  usm.rows_.assign(p, {});
-  if (p < 2) return usm;
-
-  std::vector<double> user_mean(p);
-  for (std::size_t u = 0; u < p; ++u) {
-    user_mean[u] = matrix.UserMean(static_cast<matrix::UserId>(u));
-  }
-
-  using AccVector = std::vector<PairAcc>;
-  par::ForOptions options;
-  options.serial = !config.parallel;
-  options.grain = std::max<std::size_t>(1, q / 4);
-
-  auto fold_item = [&](AccVector& acc, std::size_t i) {
-    const auto col = matrix.ItemCol(static_cast<matrix::ItemId>(i));
-    for (std::size_t x = 0; x < col.size(); ++x) {
-      const std::size_t a = col[x].index;
-      const double dev_a = col[x].value - user_mean[a];
-      for (std::size_t y = x + 1; y < col.size(); ++y) {
-        const std::size_t b = col[y].index;
-        const double dev_b = col[y].value - user_mean[b];
-        PairAcc& pair = acc[TriIndex(p, a, b)];
-        pair.dot += dev_a * dev_b;
-        pair.sq_a += dev_a * dev_a;
-        pair.sq_b += dev_b * dev_b;
-        ++pair.count;
-      }
-    }
-  };
-
-  const AccVector totals = par::ParallelReduce<AccVector>(
-      0, q,
-      [&] { return AccVector(TriSize(p)); },
-      fold_item,
-      [](AccVector& total, AccVector& partial) {
-        if (total.empty()) {
-          total = std::move(partial);
-          return;
-        }
-        for (std::size_t k = 0; k < total.size(); ++k) {
-          total[k].dot += partial[k].dot;
-          total[k].sq_a += partial[k].sq_a;
-          total[k].sq_b += partial[k].sq_b;
-          total[k].count += partial[k].count;
-        }
-      },
-      AccVector{}, options);
-
-  for (std::size_t a = 0; a < p; ++a) {
-    for (std::size_t b = a + 1; b < p; ++b) {
-      const PairAcc& pair = totals[TriIndex(p, a, b)];
-      if (pair.count < config.min_overlap) continue;
-      const double denom = std::sqrt(pair.sq_a) * std::sqrt(pair.sq_b);
-      if (denom <= 0.0) continue;
-      double sim = pair.dot / denom;
-      if (config.significance_weighting) {
-        sim = SignificanceWeight(sim, pair.count, config.significance_cutoff);
-      }
-      if (sim <= config.min_similarity) continue;
-      usm.rows_[a].push_back(
-          Neighbor{static_cast<std::uint32_t>(b), static_cast<float>(sim)});
-      usm.rows_[b].push_back(
-          Neighbor{static_cast<std::uint32_t>(a), static_cast<float>(sim)});
-    }
-  }
-  for (auto& row : usm.rows_) {
-    SortRow(row);
-    if (config.max_neighbors != 0 && row.size() > config.max_neighbors) {
-      row.resize(config.max_neighbors);
-    }
-    row.shrink_to_fit();
-  }
+  usm.rows_ = BuildPairRows(matrix, PairSide::kUsers, user_mean, config);
   return usm;
 }
 

@@ -2,8 +2,8 @@
 // all-pairs matrix used by the whole-matrix baselines (SUR, SF, EMDP, PD
 // neighbourhoods) and by K-means seeding diagnostics.
 //
-// The all-pairs build uses the same single-pass accumulation as GIS,
-// iterating items and accumulating over each item's rater column.
+// The all-pairs build is the GIS kernel transposed (BuildPairRows on
+// PairSide::kUsers): for user a it walks each rated item's column past a.
 #pragma once
 
 #include <cstddef>
@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "matrix/rating_matrix.hpp"
-#include "similarity/item_similarity.hpp"  // Neighbor
+#include "similarity/item_similarity.hpp"  // Neighbor, PairConfig
 
 namespace cfsf::sim {
 
@@ -19,14 +19,7 @@ namespace cfsf::sim {
 double UserPcc(const matrix::RatingMatrix& matrix, matrix::UserId a,
                matrix::UserId b);
 
-struct UserSimilarityConfig {
-  double min_similarity = 0.0;
-  std::size_t min_overlap = 2;
-  std::size_t max_neighbors = 0;
-  bool significance_weighting = false;
-  std::size_t significance_cutoff = 50;
-  bool parallel = true;
-};
+using UserSimilarityConfig = PairConfig;
 
 /// All-pairs user similarity with the same row layout as GIS.
 class UserSimilarityMatrix {

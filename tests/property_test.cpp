@@ -292,7 +292,7 @@ TEST_P(IncrementalProperties, RefreshAgreesWithRebuildAfterRandomEdits) {
     ASSERT_EQ(a.size(), b.size()) << "item " << i << " seed " << seed;
     for (std::size_t k = 0; k < a.size(); ++k) {
       EXPECT_EQ(a[k].index, b[k].index);
-      EXPECT_NEAR(a[k].similarity, b[k].similarity, 1e-5);
+      EXPECT_EQ(a[k].similarity, b[k].similarity);  // bit for bit
     }
   }
 }

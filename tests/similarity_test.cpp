@@ -2,9 +2,12 @@
 // the user-user similarity matrix.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "data/synthetic.hpp"
+#include "parallel/thread_pool.hpp"
 #include "similarity/item_similarity.hpp"
 #include "similarity/kernels.hpp"
 #include "similarity/user_similarity.hpp"
@@ -181,6 +184,140 @@ matrix::RatingMatrix GisFixture() {
   return b.Build();
 }
 
+using Rows = std::vector<std::vector<Neighbor>>;
+
+template <typename Matrix>
+Rows RowsOf(const Matrix& sim, std::size_t n) {
+  Rows rows(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto row = sim.Neighbors(static_cast<std::uint32_t>(i));
+    rows[i].assign(row.begin(), row.end());
+  }
+  return rows;
+}
+
+// Exact equality, reporting the first differing entry.
+void ExpectSameRows(const Rows& want, const Rows& got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(want[i].size(), got[i].size()) << "row " << i;
+    for (std::size_t k = 0; k < want[i].size(); ++k) {
+      ASSERT_EQ(want[i][k].index, got[i][k].index) << "row " << i << " pos " << k;
+      ASSERT_EQ(want[i][k].similarity, got[i][k].similarity)
+          << "row " << i << " pos " << k;
+    }
+  }
+}
+
+void ExpectSameRows(const GlobalItemSimilarity& want,
+                    const GlobalItemSimilarity& got) {
+  ExpectSameRows(RowsOf(want, want.num_items()), RowsOf(got, got.num_items()));
+}
+
+// The serial all-pairs build the item-major kernel replaced, kept as the
+// golden oracle: one dense upper triangle of pair accumulators, filled
+// line by line — user rows for item pairs, item columns for user pairs —
+// in ascending line order, then thresholded, mirrored and sorted.
+template <typename LineFn>
+Rows TriangleOracle(std::size_t n, std::size_t num_lines, LineFn line,
+                    const std::vector<double>& centre, const PairConfig& filter) {
+  struct Acc {
+    double dot = 0.0;
+    double sq_a = 0.0;
+    double sq_b = 0.0;
+    std::uint32_t count = 0;
+  };
+  std::vector<Acc> tri(n * (n - 1) / 2);
+  const auto at = [n](std::size_t a, std::size_t b) {
+    return a * n - a * (a + 1) / 2 + (b - a - 1);
+  };
+  for (std::size_t l = 0; l < num_lines; ++l) {
+    const auto entries = line(l);
+    for (std::size_t x = 0; x < entries.size(); ++x) {
+      const std::size_t a = entries[x].index;
+      const double dev_a = entries[x].value - centre[a];
+      for (std::size_t y = x + 1; y < entries.size(); ++y) {
+        const std::size_t b = entries[y].index;
+        const double dev_b = entries[y].value - centre[b];
+        Acc& pair = tri[at(a, b)];
+        pair.dot += dev_a * dev_b;
+        pair.sq_a += dev_a * dev_a;
+        pair.sq_b += dev_b * dev_b;
+        ++pair.count;
+      }
+    }
+  }
+  Rows rows(n);
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = a + 1; b < n; ++b) {
+      const Acc& pair = tri[at(a, b)];
+      if (pair.count == 0 || pair.count < filter.min_overlap) continue;
+      const double denom = std::sqrt(pair.sq_a) * std::sqrt(pair.sq_b);
+      if (denom <= 0.0) continue;
+      double sim = pair.dot / denom;
+      if (filter.significance_weighting) {
+        sim = SignificanceWeight(sim, pair.count, filter.significance_cutoff);
+      }
+      if (sim <= filter.min_similarity) continue;
+      rows[a].push_back(Neighbor{static_cast<std::uint32_t>(b), static_cast<float>(sim)});
+      rows[b].push_back(Neighbor{static_cast<std::uint32_t>(a), static_cast<float>(sim)});
+    }
+  }
+  for (auto& row : rows) std::sort(row.begin(), row.end(), NeighborBefore);
+  return rows;
+}
+
+TEST(GisGolden, EqualsTheSerialTriangleAtAnyPoolSize) {
+  const auto m = data::GenerateSynthetic(data::SyntheticConfig{});  // 500×1000
+  GisConfig config;  // the thresholds CfsfConfig serves
+  config.min_overlap = 4;
+  config.significance_weighting = true;
+  config.significance_cutoff = 20;
+  std::vector<double> centre(m.num_items());
+  for (std::size_t i = 0; i < centre.size(); ++i) {
+    centre[i] = m.ItemMean(static_cast<matrix::ItemId>(i));
+  }
+  const PairConfig pair_config{.min_similarity = config.min_similarity,
+                               .min_overlap = config.min_overlap,
+                               .significance_weighting = config.significance_weighting,
+                               .significance_cutoff = config.significance_cutoff};
+  const Rows oracle = TriangleOracle(
+      m.num_items(), m.num_users(),
+      [&m](std::size_t u) { return m.UserRow(static_cast<matrix::UserId>(u)); },
+      centre, pair_config);
+
+  GisConfig serial = config;
+  serial.parallel = false;
+  ExpectSameRows(oracle, RowsOf(GlobalItemSimilarity::Build(m, serial), m.num_items()));
+  ExpectSameRows(oracle, RowsOf(GlobalItemSimilarity::Build(m, config), m.num_items()));
+  // The GIS's row build, pinned to pools of every size.
+  for (const std::size_t threads : {1, 2, 3, 4, 8}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    par::ThreadPool pool(threads);
+    ExpectSameRows(oracle,
+                   BuildPairRows(m, PairSide::kItems, centre, pair_config, &pool));
+  }
+}
+
+TEST(UserSimGolden, EqualsTheSerialTriangle) {
+  data::SyntheticConfig dconfig;
+  dconfig.num_users = 200;
+  dconfig.num_items = 300;
+  const auto m = data::GenerateSynthetic(dconfig);
+  std::vector<double> centre(m.num_users());
+  for (std::size_t u = 0; u < centre.size(); ++u) {
+    centre[u] = m.UserMean(static_cast<matrix::UserId>(u));
+  }
+  const Rows oracle = TriangleOracle(
+      m.num_users(), m.num_items(),
+      [&m](std::size_t i) { return m.ItemCol(static_cast<matrix::ItemId>(i)); },
+      centre, PairConfig{});
+  UserSimilarityConfig serial;
+  serial.parallel = false;
+  ExpectSameRows(oracle, RowsOf(UserSimilarityMatrix::Build(m, serial), m.num_users()));
+  ExpectSameRows(oracle, RowsOf(UserSimilarityMatrix::Build(m), m.num_users()));
+}
+
 TEST(Gis, FindsPositivePairsOnly) {
   const auto m = GisFixture();
   const auto gis = GlobalItemSimilarity::Build(m);  // min_similarity 0
@@ -233,16 +370,7 @@ TEST(Gis, ParallelMatchesSerial) {
   serial_config.parallel = false;
   const auto serial = GlobalItemSimilarity::Build(m, serial_config);
   const auto parallel = GlobalItemSimilarity::Build(m);
-  ASSERT_EQ(serial.TotalNeighbors(), parallel.TotalNeighbors());
-  for (std::size_t i = 0; i < m.num_items(); ++i) {
-    const auto a = serial.Neighbors(static_cast<matrix::ItemId>(i));
-    const auto b = parallel.Neighbors(static_cast<matrix::ItemId>(i));
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t k = 0; k < a.size(); ++k) {
-      EXPECT_EQ(a[k].index, b[k].index);
-      EXPECT_NEAR(a[k].similarity, b[k].similarity, 1e-5);
-    }
-  }
+  ExpectSameRows(serial, parallel);
 }
 
 TEST(Gis, ThresholdShrinksGis) {
@@ -338,16 +466,31 @@ TEST(Gis, RefreshMatchesFullRebuild) {
   const matrix::ItemId touched[] = {5};
   gis.RefreshItems(updated, touched);
 
-  const auto rebuilt = GlobalItemSimilarity::Build(updated);
-  ASSERT_EQ(gis.num_items(), rebuilt.num_items());
-  for (std::size_t i = 0; i < gis.num_items(); ++i) {
-    const auto a = gis.Neighbors(static_cast<matrix::ItemId>(i));
-    const auto b = rebuilt.Neighbors(static_cast<matrix::ItemId>(i));
-    ASSERT_EQ(a.size(), b.size()) << "row " << i;
-    for (std::size_t k = 0; k < a.size(); ++k) {
-      EXPECT_EQ(a[k].index, b[k].index) << "row " << i << " pos " << k;
-      EXPECT_NEAR(a[k].similarity, b[k].similarity, 1e-5);
+  ExpectSameRows(gis, GlobalItemSimilarity::Build(updated));
+}
+
+TEST(Gis, RefreshUnderCapMatchesFullRebuild) {
+  // A capped row that loses an entry must take back the best one the cap
+  // had cut; refreshes of one and of several items, raising and lowering.
+  data::SyntheticConfig dconfig;
+  dconfig.num_users = 60;
+  dconfig.num_items = 40;
+  dconfig.min_ratings_per_user = 8;
+  dconfig.log_mean = 2.8;
+  auto m = data::GenerateSynthetic(dconfig);
+  GisConfig config;
+  config.max_neighbors = 5;
+  auto gis = GlobalItemSimilarity::Build(m, config);
+  const std::vector<std::vector<matrix::ItemId>> edits{{3}, {7, 3, 12}, {0}, {39, 20}};
+  float value = 1.0F;
+  for (const auto& items : edits) {
+    for (const auto item : items) {
+      for (matrix::UserId u = 0; u < 60; u += 7) m = m.WithRating(u, item, value);
+      value = value >= 5.0F ? 1.0F : value + 2.0F;
     }
+    gis.RefreshItems(m, items);
+    ExpectSameRows(GlobalItemSimilarity::Build(m, config), gis);
+    gis.DebugValidate();
   }
 }
 
@@ -417,15 +560,7 @@ TEST(UserSim, ParallelMatchesSerial) {
   serial_config.parallel = false;
   const auto a = UserSimilarityMatrix::Build(m, serial_config);
   const auto b = UserSimilarityMatrix::Build(m);
-  for (std::size_t u = 0; u < m.num_users(); ++u) {
-    const auto ra = a.Neighbors(static_cast<matrix::UserId>(u));
-    const auto rb = b.Neighbors(static_cast<matrix::UserId>(u));
-    ASSERT_EQ(ra.size(), rb.size());
-    for (std::size_t k = 0; k < ra.size(); ++k) {
-      EXPECT_EQ(ra[k].index, rb[k].index);
-      EXPECT_NEAR(ra[k].similarity, rb[k].similarity, 1e-5);
-    }
-  }
+  ExpectSameRows(RowsOf(a, m.num_users()), RowsOf(b, m.num_users()));
 }
 
 TEST(UserSim, TopKPrefix) {
