@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels: pairwise
 // similarities, GIS construction, K-means steps, smoothing, user
-// selection and single online predictions.
+// selection, single online predictions and top-N.  `large` variants run
+// at the service benchmark's 4000x2000 scale.
 #include <benchmark/benchmark.h>
 
 #include "clustering/kmeans.hpp"
@@ -109,7 +110,7 @@ void BM_KMeans(benchmark::State& state) {
 BENCHMARK(BM_KMeans)->Arg(10)->Arg(30)->Arg(100)->Unit(benchmark::kMillisecond);
 
 void BM_SmoothingBuild(benchmark::State& state) {
-  const auto& m = World();
+  const auto& m = state.range(0) != 0 ? LargeWorld() : World();
   cluster::KMeansConfig config;
   config.num_clusters = 30;
   const auto kmeans = cluster::RunKMeans(m, config);
@@ -118,19 +119,30 @@ void BM_SmoothingBuild(benchmark::State& state) {
         cluster::ClusterModel::Build(m, kmeans.assignments, 30));
   }
 }
-BENCHMARK(BM_SmoothingBuild)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SmoothingBuild)
+    ->ArgName("large")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
-const core::CfsfModel& FittedModel() {
-  static const core::CfsfModel& model = []() -> const core::CfsfModel& {
+// Default-config models fitted once per scale (`large` selects LargeWorld).
+const core::CfsfModel& FittedModel(bool large = false) {
+  static const core::CfsfModel& paper = []() -> const core::CfsfModel& {
     static core::CfsfModel m;
     m.Fit(World());
     return m;
   }();
-  return model;
+  if (!large) return paper;
+  static const core::CfsfModel& big = []() -> const core::CfsfModel& {
+    static core::CfsfModel m;
+    m.Fit(LargeWorld());
+    return m;
+  }();
+  return big;
 }
 
 void BM_SelectTopKUsers(benchmark::State& state) {
-  const auto& model = FittedModel();
+  const auto& model = FittedModel(state.range(0) != 0);
   matrix::UserId user = 0;
   for (auto _ : state) {
     model.ClearCache();
@@ -138,7 +150,7 @@ void BM_SelectTopKUsers(benchmark::State& state) {
     user = static_cast<matrix::UserId>((user + 1) % model.train().num_users());
   }
 }
-BENCHMARK(BM_SelectTopKUsers);
+BENCHMARK(BM_SelectTopKUsers)->ArgName("large")->Arg(0)->Arg(1);
 
 void BM_PredictColdCache(benchmark::State& state) {
   const auto& model = FittedModel();
@@ -152,7 +164,7 @@ void BM_PredictColdCache(benchmark::State& state) {
 BENCHMARK(BM_PredictColdCache);
 
 void BM_PredictWarmCache(benchmark::State& state) {
-  const auto& model = FittedModel();
+  const auto& model = FittedModel(state.range(0) != 0);
   model.Predict(7, 13);  // warm the cache for user 7
   matrix::ItemId item = 0;
   for (auto _ : state) {
@@ -160,7 +172,21 @@ void BM_PredictWarmCache(benchmark::State& state) {
     item = static_cast<matrix::ItemId>((item + 1) % model.train().num_items());
   }
 }
-BENCHMARK(BM_PredictWarmCache);
+BENCHMARK(BM_PredictWarmCache)->ArgName("large")->Arg(0)->Arg(1);
+
+// Top-20 over the whole catalogue for one user with a warm top-K cache.
+void BM_RecommendTopN(benchmark::State& state) {
+  const auto& model = FittedModel(state.range(0) != 0);
+  model.Predict(7, 13);  // warm the cache for user 7
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.RecommendTopN(7, 20));
+  }
+}
+BENCHMARK(BM_RecommendTopN)
+    ->ArgName("large")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_OfflinePhase(benchmark::State& state) {
   const auto& m = World();

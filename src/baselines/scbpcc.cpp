@@ -40,31 +40,33 @@ double ScbpccPredictor::Predict(matrix::UserId user, matrix::ItemId item) const 
   // Candidate set: members of the pre-selected most-affine clusters, or
   // every user when preselection is disabled.  Recomputed per prediction —
   // SCBPCC has no result cache.
-  struct Scored {
-    matrix::UserId user;
-    double similarity;
-  };
-  std::vector<Scored> scored;
-  scored.reserve(train_.num_users());
-  auto consider = [&](matrix::UserId candidate) {
-    if (candidate == user) return;
-    const double sim = sim::SmoothingAwarePcc(
-        active_row, active_mean, clusters_.SmoothedProfile(candidate),
-        clusters_.OriginalMask(candidate), clusters_.UserMean(candidate),
-        config_.epsilon);
-    if (sim > 0.0) scored.push_back(Scored{candidate, sim});
-  };
+  std::vector<matrix::UserId> candidates;
   if (config_.preselect_clusters == 0) {
+    candidates.reserve(train_.num_users());
     for (std::size_t c = 0; c < train_.num_users(); ++c) {
-      consider(static_cast<matrix::UserId>(c));
+      if (c != user) candidates.push_back(static_cast<matrix::UserId>(c));
     }
   } else {
     std::size_t taken = 0;
     for (const auto& affinity : clusters_.IClusterOf(user)) {
       for (const auto candidate : cluster_members_[affinity.cluster]) {
-        consider(candidate);
+        if (candidate != user) candidates.push_back(candidate);
       }
       if (++taken >= config_.preselect_clusters) break;
+    }
+  }
+  const auto similarities = clusters_.PoolSimilarities(
+      train_, active_row, active_mean, candidates, config_.epsilon);
+
+  struct Scored {
+    matrix::UserId user;
+    double similarity;
+  };
+  std::vector<Scored> scored;
+  scored.reserve(candidates.size());
+  for (std::size_t s = 0; s < candidates.size(); ++s) {
+    if (similarities[s] > 0.0) {
+      scored.push_back(Scored{candidates[s], similarities[s]});
     }
   }
 
@@ -83,11 +85,11 @@ double ScbpccPredictor::Predict(matrix::UserId user, matrix::ItemId item) const 
   double den = 0.0;
   for (std::size_t t = 0; t < k; ++t) {
     const auto neighbor = scored[t].user;
-    const double rating = clusters_.SmoothedProfile(neighbor)[item];
-    const bool original = clusters_.OriginalMask(neighbor)[item] != 0;
-    const double w = sim::ProvenanceWeight(original, config_.epsilon) *
+    const auto cell =
+        clusters_.SmoothedCell(neighbor, train_.UserRow(neighbor), item);
+    const double w = sim::ProvenanceWeight(cell.original, config_.epsilon) *
                      scored[t].similarity;
-    num += w * (rating - clusters_.UserMean(neighbor));
+    num += w * (cell.value - clusters_.UserMean(neighbor));
     den += w;
   }
   if (den <= 0.0) return active_mean;

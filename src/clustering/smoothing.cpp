@@ -1,10 +1,12 @@
 #include "clustering/smoothing.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "obs/timer.hpp"
 #include "parallel/parallel_for.hpp"
+#include "similarity/kernels.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
 
@@ -81,30 +83,11 @@ ClusterModel ClusterModel::Build(const matrix::RatingMatrix& matrix,
     }
   }
 
-  // --- Eq. 7: smoothed dense matrix + provenance masks -----------------
-  model.smoothed_ = matrix::DenseMatrix(p, q);
-  model.original_mask_.assign(p * q, 0);
-  par::ForOptions options;
-  options.serial = !parallel;
-  par::ParallelFor(
-      0, p,
-      [&](std::size_t u) {
-        const std::uint32_t c = model.assignments_[u];
-        const double mean_u = model.user_means_[u];
-        auto row = model.smoothed_.Row(u);
-        for (std::size_t i = 0; i < q; ++i) {
-          row[i] = mean_u + model.deviations_(c, i);
-        }
-        for (const auto& e : matrix.UserRow(static_cast<matrix::UserId>(u))) {
-          row[e.index] = e.value;
-          model.original_mask_[u * q + e.index] = 1;
-        }
-      },
-      options);
-
   // --- Eq. 9: iCluster lists -------------------------------------------
   if (profiler != nullptr) profiler->Begin("icluster");
   model.icluster_.assign(p, {});
+  par::ForOptions options;
+  options.serial = !parallel;
   par::ParallelFor(
       0, p,
       [&](std::size_t u) {
@@ -151,21 +134,98 @@ bool ClusterModel::ClusterHasRating(std::uint32_t cluster,
   return has_rating_[cluster * num_items() + item] != 0;
 }
 
-std::span<const double> ClusterModel::SmoothedProfile(matrix::UserId user) const {
-  CFSF_ASSERT(user < num_users(), "user id out of range");
-  return smoothed_.Row(user);
+std::span<const double> ClusterModel::DeviationRow(std::uint32_t cluster) const {
+  CFSF_ASSERT(cluster < num_clusters_, "cluster id out of range");
+  return deviations_.Row(cluster);
 }
 
-std::span<const std::uint8_t> ClusterModel::OriginalMask(
-    matrix::UserId user) const {
-  CFSF_ASSERT(user < num_users(), "user id out of range");
-  return {original_mask_.data() + user * num_items(), num_items()};
+ClusterModel::Cell ClusterModel::SmoothedCell(
+    matrix::UserId user, std::span<const matrix::Entry> row,
+    matrix::ItemId item) const {
+  CFSF_ASSERT(user < num_users() && item < num_items(),
+              "SmoothedCell index out of range");
+  const auto it = std::lower_bound(
+      row.begin(), row.end(), item,
+      [](const matrix::Entry& e, matrix::ItemId target) {
+        return e.index < target;
+      });
+  if (it != row.end() && it->index == item) {
+    return {static_cast<double>(it->value), true};
+  }
+  return {user_means_[user] + deviations_(assignments_[user], item), false};
 }
 
 std::span<const ClusterAffinity> ClusterModel::IClusterOf(
     matrix::UserId user) const {
   CFSF_ASSERT(user < icluster_.size(), "user id out of range");
   return icluster_[user];
+}
+
+std::vector<double> ClusterModel::PoolSimilarities(
+    const matrix::RatingMatrix& matrix,
+    std::span<const matrix::Entry> active_row, double active_mean,
+    std::span<const matrix::UserId> pool, double epsilon) const {
+  CFSF_REQUIRE(epsilon >= 0.0 && epsilon <= 1.0, "epsilon must be in [0,1]");
+  const std::size_t n = pool.size();
+  struct Run {
+    std::size_t end;           // one past the run's last slot
+    const double* deviations;  // Δr_{C,·} of the run's cluster
+  };
+  std::vector<Run> runs;
+  std::vector<std::uint32_t> slot_of(matrix.num_users(), 0);  // slot + 1
+  std::vector<double> mean(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    const auto c = ClusterOf(pool[s]);
+    if (s > 0 && c == ClusterOf(pool[s - 1])) {
+      ++runs.back().end;
+    } else {
+      runs.push_back(Run{s + 1, deviations_.Row(c).data()});
+    }
+    slot_of[pool[s]] = static_cast<std::uint32_t>(s + 1);
+    mean[s] = user_means_[pool[s]];
+  }
+
+  const double w_original = sim::ProvenanceWeight(true, epsilon);
+  const double w_smoothed = sim::ProvenanceWeight(false, epsilon);
+  std::vector<double> num(n, 0.0);
+  std::vector<double> sq_candidate(n, 0.0);
+  std::vector<double> value(n);   // each candidate's Eq. 7 cell on the item
+  std::vector<double> weight(n);  // and its Eq. 11 weight
+  double sq_active = 0.0;         // the same for every candidate
+  for (const auto& e : active_row) {
+    // Smoothed cells first, then the item's raters overwrite theirs: every
+    // pass below is a plain loop over the pool.
+    std::size_t s = 0;
+    for (const auto& run : runs) {
+      const double deviation = run.deviations[e.index];
+      for (; s < run.end; ++s) {
+        value[s] = mean[s] + deviation;
+        weight[s] = w_smoothed;
+      }
+    }
+    for (const auto& r : matrix.ItemCol(e.index)) {
+      const std::uint32_t slot = slot_of[r.index];
+      if (slot != 0) {
+        value[slot - 1] = static_cast<double>(r.value);
+        weight[slot - 1] = w_original;
+      }
+    }
+    const double da = e.value - active_mean;
+    sq_active += da * da;
+    for (s = 0; s < n; ++s) {
+      const double w = weight[s];
+      const double dc = value[s] - mean[s];
+      num[s] += w * dc * da;
+      sq_candidate[s] += w * w * dc * dc;
+    }
+  }
+
+  std::vector<double> similarity(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    const double denom = std::sqrt(sq_candidate[s]) * std::sqrt(sq_active);
+    similarity[s] = denom > 0.0 ? num[s] / denom : 0.0;
+  }
+  return similarity;
 }
 
 double ClusterModel::AffinityOf(std::span<const matrix::Entry> row,
@@ -192,13 +252,13 @@ void ClusterModel::DebugValidate(const matrix::RatingMatrix& matrix) const {
   const std::size_t q = num_items();
   CFSF_VALIDATE(p == matrix.num_users() && q == matrix.num_items(),
                 "ClusterModel shape must match the source matrix");
-  CFSF_VALIDATE(assignments_.size() == p, "assignment table size");
+  CFSF_VALIDATE(deviations_.rows() == num_clusters_,
+                "deviation table must be C x Q");
   CFSF_VALIDATE(cluster_sizes_.size() == num_clusters_, "cluster size table");
   CFSF_VALIDATE(icluster_.size() == p, "iCluster table size");
   CFSF_VALIDATE(user_means_.size() == p, "user mean table size");
-  CFSF_VALIDATE(original_mask_.size() == p * q, "provenance mask size");
   CFSF_VALIDATE(has_rating_.size() == num_clusters_ * q,
-                "cluster has-rating mask size");
+                "cluster has-rating table size");
 
   // Cluster assignment totals (every user in exactly one cluster).
   std::vector<std::size_t> counted(num_clusters_, 0);
@@ -221,28 +281,21 @@ void ClusterModel::DebugValidate(const matrix::RatingMatrix& matrix) const {
     }
   }
 
+  // Eq. 7 derives every smoothed cell from r̄_u, so the stored means must
+  // be the matrix's own, bit for bit; and the has-rating table must be
+  // exactly "some member of C rated i".
+  std::vector<std::uint8_t> rated(num_clusters_ * q, 0);
   for (std::size_t u = 0; u < p; ++u) {
-    CFSF_VALIDATE(std::isfinite(user_means_[u]), "user mean must be finite");
-    const auto profile = SmoothedProfile(static_cast<matrix::UserId>(u));
-    const auto mask = OriginalMask(static_cast<matrix::UserId>(u));
-    std::size_t originals = 0;
-    for (std::size_t i = 0; i < q; ++i) {
-      CFSF_VALIDATE(std::isfinite(profile[i]),
-                    "smoothed rating must be finite (Eq. 7)");
-      originals += mask[i] != 0 ? 1 : 0;
-    }
-    const auto row = matrix.UserRow(static_cast<matrix::UserId>(u));
-    CFSF_VALIDATE(originals == row.size(),
-                  "provenance mask must flag exactly the original ratings");
-    for (const auto& e : row) {
-      CFSF_VALIDATE(mask[e.index] != 0,
-                    "original rating missing from the provenance mask");
-      CFSF_VALIDATE(profile[e.index] == static_cast<double>(e.value),
-                    "Eq. 7 must preserve original ratings verbatim");
+    const auto user = static_cast<matrix::UserId>(u);
+    CFSF_VALIDATE(std::bit_cast<std::uint64_t>(user_means_[u]) ==
+                      std::bit_cast<std::uint64_t>(matrix.UserMean(user)),
+                  "user mean must equal the matrix's r̄_u bit for bit");
+    for (const auto& e : matrix.UserRow(user)) {
+      rated[assignments_[u] * q + e.index] = 1;
     }
 
     // iCluster: a permutation of all clusters in descending Eq. 9 order.
-    const auto list = IClusterOf(static_cast<matrix::UserId>(u));
+    const auto list = IClusterOf(user);
     CFSF_VALIDATE(list.size() == num_clusters_,
                   "iCluster list must rank every cluster");
     std::vector<bool> seen(num_clusters_, false);
@@ -260,6 +313,8 @@ void ClusterModel::DebugValidate(const matrix::RatingMatrix& matrix) const {
                     "iCluster list must be affinity-descending");
     }
   }
+  CFSF_VALIDATE(rated == has_rating_,
+                "has-rating table must flag exactly the clusters' rated items");
 }
 
 }  // namespace cfsf::cluster

@@ -3,11 +3,15 @@
 // Given K-means assignments, a ClusterModel holds
 //  * Δr_{C,i} — the mean mean-centred rating of item i inside cluster C
 //    (Eq. 8), with documented fallbacks when no cluster member rated i;
-//  * the smoothed dense matrix — Eq. 7 fills every unrated cell with
-//    r̄_u + Δr_{C(u),i};
-//  * per-user original-rating masks — Eq. 11's provenance bit;
+//  * the user means r̄_u;
 //  * per-user iCluster lists — clusters ordered by descending Eq. 9
 //    similarity, which drive the top-K candidate pool in the online phase.
+//
+// The smoothed matrix of Eq. 7 is never stored: a cell is the original
+// rating where the user's sorted CSR row holds the item (Eq. 11's
+// provenance bit is that membership) and r̄_u + Δr_{C(u),i} elsewhere, so
+// readers derive it from the row, UserMean and DeviationRow.  The model
+// is O(nnz + C·Q) to build and to hold.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +40,7 @@ class ClusterModel {
  public:
   ClusterModel() = default;
 
-  /// Builds deviations, the smoothed matrix and iCluster lists.
+  /// Builds deviations, user means and iCluster lists.
   /// `assignments` must map every user of `matrix` to [0, num_clusters).
   ///
   /// `deviation_shrinkage` is an empirical-Bayes refinement of Eq. 8: the
@@ -47,7 +51,7 @@ class ClusterModel {
   /// 1–2 raters, so the raw Eq. 8 estimate is extremely noisy; m=0
   /// reproduces Eq. 8 verbatim (the ablation bench compares both).
   /// `profiler`, when given, records the build's two stages as phases
-  /// "smoothing" (Eq. 7–8) and "icluster" (Eq. 9) — CfsfModel::Fit feeds
+  /// "smoothing" (Eq. 8) and "icluster" (Eq. 9) — CfsfModel::Fit feeds
   /// them into the cfsf.fit.* gauges (docs/OBSERVABILITY.md).
   static ClusterModel Build(const matrix::RatingMatrix& matrix,
                             std::span<const std::uint32_t> assignments,
@@ -56,8 +60,8 @@ class ClusterModel {
                             obs::PhaseProfiler* profiler = nullptr);
 
   std::size_t num_clusters() const { return num_clusters_; }
-  std::size_t num_users() const { return smoothed_.rows(); }
-  std::size_t num_items() const { return smoothed_.cols(); }
+  std::size_t num_users() const { return assignments_.size(); }
+  std::size_t num_items() const { return deviations_.cols(); }
 
   std::uint32_t ClusterOf(matrix::UserId user) const;
   std::span<const std::size_t> cluster_sizes() const { return cluster_sizes_; }
@@ -71,18 +75,37 @@ class ClusterModel {
   /// deviation came from Eq. 8 proper, not a fallback).
   bool ClusterHasRating(std::uint32_t cluster, matrix::ItemId item) const;
 
-  /// Dense smoothed profile of `user` (Eq. 7): original ratings where they
-  /// exist, r̄_u + Δr_{C(u),i} elsewhere.
-  std::span<const double> SmoothedProfile(matrix::UserId user) const;
-
-  /// mask[i] != 0 iff the user's rating of i is original (Eq. 11).
-  std::span<const std::uint8_t> OriginalMask(matrix::UserId user) const;
+  /// Δr_{C,·}: cluster `cluster`'s Eq. 8 deviation for every item.
+  std::span<const double> DeviationRow(std::uint32_t cluster) const;
 
   /// The user's mean rating used for smoothing (original r̄_u).
   double UserMean(matrix::UserId user) const { return user_means_[user]; }
 
+  /// One Eq. 7 cell, derived on demand in O(log |row|).  `row` must be
+  /// `user`'s sorted row of the matrix the model was built from.
+  struct Cell {
+    double value = 0.0;     // the original rating, or r̄_u + Δr_{C(u),i}
+    bool original = false;  // Eq. 11's provenance bit
+  };
+  Cell SmoothedCell(matrix::UserId user, std::span<const matrix::Entry> row,
+                    matrix::ItemId item) const;
+
   /// iCluster: clusters sorted by descending Eq. 9 similarity to `user`.
   std::span<const ClusterAffinity> IClusterOf(matrix::UserId user) const;
+
+  /// Eq. 10 between an active user and each candidate of `pool`, equal
+  /// bit for bit to sim::SmoothingAwarePcc(active_row, active_mean,
+  /// matrix.UserRow(c), DeviationRow(ClusterOf(c)), UserMean(c), epsilon).
+  /// The pool is scored item by item: each item of `active_row` stamps,
+  /// from its column, the candidates that rated it, and every candidate
+  /// takes one step, so each candidate's sums still run in active-row
+  /// order.  Consecutive candidates of one cluster share a deviation
+  /// load.  O(P + Σ|column| + |active_row|·|pool|).
+  std::vector<double> PoolSimilarities(const matrix::RatingMatrix& matrix,
+                                       std::span<const matrix::Entry> active_row,
+                                       double active_mean,
+                                       std::span<const matrix::UserId> pool,
+                                       double epsilon) const;
 
   /// Eq. 9 for an arbitrary sparse profile (used to fold a brand-new user
   /// into an existing model without re-clustering).
@@ -90,11 +113,11 @@ class ClusterModel {
                     std::uint32_t cluster) const;
 
   /// Structural validation sweep against the matrix the model was built
-  /// from: assignment/size totals, finite deviations and smoothed cells,
-  /// original ratings preserved verbatim with the provenance mask set
-  /// exactly on them, iCluster lists covering every cluster once in
-  /// descending Eq. 9 order with affinities in [-1, 1].  Throws
-  /// util::InvariantError on violation.
+  /// from: matching shape, assignment/size totals, a finite C×Q deviation
+  /// table, user means equal to the matrix's bit for bit, the has-rating
+  /// table equal to "some member rated i" recomputed from the CSR, and
+  /// iCluster lists covering every cluster once in descending Eq. 9 order
+  /// with affinities in [-1, 1].  Throws util::InvariantError on violation.
   void DebugValidate(const matrix::RatingMatrix& matrix) const;
 
  private:
@@ -103,8 +126,6 @@ class ClusterModel {
   std::vector<std::size_t> cluster_sizes_;
   matrix::DenseMatrix deviations_;            // num_clusters × Q (Eq. 8 + fallback)
   std::vector<std::uint8_t> has_rating_;      // num_clusters × Q
-  matrix::DenseMatrix smoothed_;              // P × Q (Eq. 7)
-  std::vector<std::uint8_t> original_mask_;   // P × Q
   std::vector<double> user_means_;            // r̄_u
   std::vector<std::vector<ClusterAffinity>> icluster_;
 };

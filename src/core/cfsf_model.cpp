@@ -56,7 +56,189 @@ struct CfsfMetrics {
   }
 };
 
+// One user's Eq. 7 cells, read through an index of positions in the
+// user's sorted CSR row (position + 1): a cell is the original rating
+// where the user rated the item and r̄_u + Δr_{C(u),i} elsewhere, the same
+// double the dense smoothed matrix used to hold.  A slot row (kBySlot) is
+// addressed by the query's top-M slot (slot M is the active item) and a
+// position of 0 marks an unrated cell; an item row is addressed by item
+// id, flags rated items in a byte array — the one probed in hot loops —
+// and reads positions only where that flag is set.  Estimators copy a
+// row into a local so its fields stay in registers across calls the
+// compiler cannot see into.
+template <bool kBySlot>
+struct CellRow {
+  const std::uint8_t* rated;        // item rows only
+  const std::uint32_t* positions;
+  const matrix::Entry* entries;
+  const matrix::Timestamp* stamps;  // aligned with entries; null if untimed
+  double mean;                      // r̄_u
+  const double* deviations;         // Δr_{C(u),·}
+
+  /// Eq. 11's provenance bit.
+  bool Original(std::size_t slot, matrix::ItemId item) const {
+    return kBySlot ? positions[slot] != 0 : rated[item] != 0;
+  }
+  /// Eq. 7.
+  double Value(std::size_t slot, matrix::ItemId item) const {
+    return Original(slot, item)
+               ? static_cast<double>(entries[Position(slot, item)].value)
+               : mean + deviations[item];
+  }
+  /// Timestamp of an original cell; 0 if the data is untimed.
+  matrix::Timestamp Stamp(std::size_t slot, matrix::ItemId item) const {
+    return stamps != nullptr ? stamps[Position(slot, item)] : 0;
+  }
+
+ private:
+  std::size_t Position(std::size_t slot, matrix::ItemId item) const {
+    return positions[kBySlot ? slot : item] - 1;
+  }
+};
+
+template <bool kBySlot>
+CellRow<kBySlot> MakeCellRow(const matrix::RatingMatrix& train,
+                             const cluster::ClusterModel& clusters,
+                             matrix::UserId user, const std::uint8_t* rated,
+                             const std::uint32_t* positions) {
+  const auto stamps = train.UserRowTimestamps(user);
+  return {rated,
+          positions,
+          train.UserRow(user).data(),
+          stamps.empty() ? nullptr : stamps.data(),
+          clusters.UserMean(user),
+          clusters.DeviationRow(clusters.ClusterOf(user)).data()};
+}
+
+thread_local bool call_cells_live = false;
+
 }  // namespace
+
+// The paper's local matrix (Section IV-E) for one query: the cells of the
+// active user (row 0) and the top-K neighbours (rows 1..K) on the query's
+// top-M items and its active item, indexed by slot.  Each row is gathered
+// by walking the user's sorted CSR row against a per-thread item → slot
+// map; items outside the query fall into a discarded column 0, so the
+// walk has no branch.  O(K·|row|) to build, O(K·M) to hold.
+class CfsfModel::QueryCells {
+ public:
+  using Row = CellRow<true>;
+
+  QueryCells(const matrix::RatingMatrix& train,
+             const cluster::ClusterModel& clusters, matrix::UserId active,
+             std::span<const SelectedUser> neighbors,
+             std::span<const sim::Neighbor> top_items, matrix::ItemId item)
+      : width_(top_items.size() + 2),
+        columns_((neighbors.size() + 1) * width_, 0) {
+    auto& column_of = ColumnScratch();
+    if (column_of.size() < train.num_items()) {
+      column_of.resize(train.num_items(), 0);
+    }
+    rows_.reserve(neighbors.size() + 1);
+    // Nothing below throws while column_of holds set entries.
+    for (std::size_t j = 0; j < top_items.size(); ++j) {
+      column_of[top_items[j].index] = static_cast<std::uint32_t>(j + 1);
+    }
+    column_of[item] = static_cast<std::uint32_t>(width_ - 1);
+    for (std::size_t r = 0; r <= neighbors.size(); ++r) {
+      const auto user = r == 0 ? active : neighbors[r - 1].user;
+      std::uint32_t* columns = columns_.data() + r * width_;
+      const auto entries = train.UserRow(user);
+      for (std::size_t k = 0; k < entries.size(); ++k) {
+        columns[column_of[entries[k].index]] = static_cast<std::uint32_t>(k + 1);
+      }
+      rows_.push_back(
+          MakeCellRow<true>(train, clusters, user, nullptr, columns + 1));
+    }
+    for (const auto& n : top_items) column_of[n.index] = 0;
+    column_of[item] = 0;
+  }
+
+  /// Row 0 is the active user, row k + 1 the k-th neighbour.
+  Row row(std::size_t r) const { return rows_[r]; }
+
+ private:
+  static std::vector<std::uint32_t>& ColumnScratch() {
+    thread_local std::vector<std::uint32_t> column_of;  // Q, all-zero
+    return column_of;
+  }
+
+  std::size_t width_;  // discard column + M' slots + the active item
+  std::vector<std::uint32_t> columns_;
+  std::vector<Row> rows_;
+};
+
+// The cells of the active user (row 0) and the top-K neighbours (rows
+// 1..K) on every item, indexed by item id: each row scattered once into
+// per-thread (K+1)×Q scratch, a byte flag per rated item plus its row
+// position.  RecommendTopN and each PredictBatch user group build one and
+// reuse it for all their items.  The destructor zeroes exactly the flags
+// the constructor set (positions are read only under a set flag), so the
+// scratch needs no clearing between calls and a build costs O(K·|row|),
+// not O(K·Q).  One live instance per thread.
+class CfsfModel::CallCells {
+ public:
+  using Row = CellRow<false>;
+
+  CallCells(const matrix::RatingMatrix& train,
+            const cluster::ClusterModel& clusters, matrix::UserId active,
+            std::span<const SelectedUser> neighbors)
+      : q_(train.num_items()), scratch_(GetScratch()) {
+    CFSF_ASSERT(!call_cells_live, "one CallCells per thread at a time");
+    const std::size_t num_rows = neighbors.size() + 1;
+    if (scratch_.rated.size() < num_rows * q_) {
+      scratch_.rated.resize(num_rows * q_, 0);
+      scratch_.positions.resize(num_rows * q_);
+    }
+    rows_.reserve(num_rows);
+    entries_.reserve(num_rows);
+    for (std::size_t r = 0; r < num_rows; ++r) {
+      const auto user = r == 0 ? active : neighbors[r - 1].user;
+      rows_.push_back(MakeCellRow<false>(train, clusters, user,
+                                         scratch_.rated.data() + r * q_,
+                                         scratch_.positions.data() + r * q_));
+      entries_.push_back(train.UserRow(user));
+    }
+    // Nothing below throws, so the destructor zeroes whatever is set.
+    for (std::size_t r = 0; r < num_rows; ++r) {
+      std::uint8_t* rated = scratch_.rated.data() + r * q_;
+      std::uint32_t* positions = scratch_.positions.data() + r * q_;
+      const auto entries = entries_[r];
+      for (std::size_t k = 0; k < entries.size(); ++k) {
+        rated[entries[k].index] = 1;
+        positions[entries[k].index] = static_cast<std::uint32_t>(k + 1);
+      }
+    }
+    call_cells_live = true;
+  }
+  ~CallCells() {
+    for (std::size_t r = 0; r < entries_.size(); ++r) {
+      std::uint8_t* rated = scratch_.rated.data() + r * q_;
+      for (const auto& e : entries_[r]) rated[e.index] = 0;
+    }
+    call_cells_live = false;
+  }
+  CallCells(const CallCells&) = delete;
+  CallCells& operator=(const CallCells&) = delete;
+
+  /// Row 0 is the active user, row k + 1 the k-th neighbour.
+  Row row(std::size_t r) const { return rows_[r]; }
+
+ private:
+  struct Scratch {
+    std::vector<std::uint8_t> rated;       // rows × Q, all-zero between calls
+    std::vector<std::uint32_t> positions;  // rows × Q
+  };
+  static Scratch& GetScratch() {
+    thread_local Scratch scratch;
+    return scratch;
+  }
+
+  std::size_t q_;
+  Scratch& scratch_;
+  std::vector<Row> rows_;
+  std::vector<std::span<const matrix::Entry>> entries_;  // row r's CSR row
+};
 
 CfsfModel::CfsfModel(const CfsfConfig& config) : config_(config) {
   config_.Validate();
@@ -173,29 +355,33 @@ std::unique_ptr<CfsfModel> CfsfModel::Restore(
 
 std::vector<SelectedUser> CfsfModel::ComputeTopKUsers(matrix::UserId user) const {
   // Section IV-E2: walk the iCluster order, pooling candidate users until
-  // the pool can support the top-K selection, then rank by Eq. 10.
-  const auto active_row = train_.UserRow(user);
-  const double active_mean = train_.UserMean(user);
+  // the pool can support the top-K selection, then rank by Eq. 10.  Scores
+  // never decide membership, so the pool is fixed first and scored in one
+  // pass (whole clusters join it, so consecutive candidates share a
+  // deviation row).
   const std::size_t want_pool =
       std::max<std::size_t>(config_.top_k_users,
                             config_.top_k_users * config_.candidate_pool_factor);
-
-  std::vector<SelectedUser> scored;
-  scored.reserve(want_pool + 64);
-  std::size_t pooled = 0;
+  std::vector<matrix::UserId> pool;
+  pool.reserve(want_pool + 64);
   for (const auto& affinity : clusters_.IClusterOf(user)) {
     for (const auto candidate : cluster_members_[affinity.cluster]) {
-      if (candidate == user) continue;
-      ++pooled;
-      const double similarity = sim::SmoothingAwarePcc(
-          active_row, active_mean, clusters_.SmoothedProfile(candidate),
-          clusters_.OriginalMask(candidate), clusters_.UserMean(candidate),
-          config_.epsilon);
-      if (similarity > 0.0) scored.push_back(SelectedUser{candidate, similarity});
+      if (candidate != user) pool.push_back(candidate);
     }
-    if (pooled >= want_pool) break;
+    if (pool.size() >= want_pool) break;
   }
-  CfsfMetrics::Get().topk_pool_size.Record(static_cast<double>(pooled));
+  CfsfMetrics::Get().topk_pool_size.Record(static_cast<double>(pool.size()));
+
+  const auto similarities = clusters_.PoolSimilarities(
+      train_, train_.UserRow(user), train_.UserMean(user), pool,
+      config_.epsilon);
+  std::vector<SelectedUser> scored;
+  scored.reserve(pool.size());
+  for (std::size_t s = 0; s < pool.size(); ++s) {
+    if (similarities[s] > 0.0) {
+      scored.push_back(SelectedUser{pool[s], similarities[s]});
+    }
+  }
 
   const std::size_t k = std::min(config_.top_k_users, scored.size());
   std::partial_sort(scored.begin(), scored.begin() + k, scored.end(),
@@ -238,17 +424,7 @@ std::vector<SelectedUser> CfsfModel::SelectTopKUsers(matrix::UserId user) const 
   return *TopKUsersCached(user);
 }
 
-double CfsfModel::TimeDecayWeight(matrix::UserId user, matrix::ItemId item) const {
-  if (!config_.time_decay || !train_.has_timestamps()) return 1.0;
-  const auto row = train_.UserRow(user);
-  const auto ts = train_.UserRowTimestamps(user);
-  const auto it = std::lower_bound(
-      row.begin(), row.end(), item,
-      [](const matrix::Entry& e, matrix::ItemId target) {
-        return e.index < target;
-      });
-  if (it == row.end() || it->index != item) return 1.0;
-  const auto stamp = ts[static_cast<std::size_t>(it - row.begin())];
+double CfsfModel::TimeDecayWeight(matrix::Timestamp stamp) const {
   if (stamp == 0) return 1.0;
   const double age_days =
       static_cast<double>(latest_timestamp_ - stamp) / 86400.0;
@@ -261,23 +437,25 @@ double CfsfModel::TimeDecayWeight(matrix::UserId user, matrix::ItemId item) cons
 // the original ratings; smoothed cells only participate (at weight w)
 // when local_matrix_smoothed is set.  Shared between the full fusion
 // path and the degraded SIR′-only serving path.
+template <class Cells>
 std::optional<double> CfsfModel::SirEstimate(
-    matrix::UserId user, matrix::ItemId item,
-    std::span<const sim::Neighbor> top_items) const {
-  const auto active_mask = clusters_.OriginalMask(user);
-  const auto active_profile = clusters_.SmoothedProfile(user);
+    matrix::ItemId item, std::span<const sim::Neighbor> top_items,
+    const Cells& cells) const {
   const bool center = config_.center_on_item_means;
+  const auto row = cells.row(0);
 
   double num = 0.0;
   double den = 0.0;
-  for (const auto& n : top_items) {
-    const bool original = active_mask[n.index] != 0;
+  for (std::size_t j = 0; j < top_items.size(); ++j) {
+    const auto& n = top_items[j];
+    const bool original = row.Original(j, n.index);
     if (!original && !config_.local_matrix_smoothed) continue;
     double w = sim::ProvenanceWeight(original, config_.epsilon);
-    if (original) w *= TimeDecayWeight(user, n.index);
-    const double value = center ? active_profile[n.index] -
-                                      train_.ItemMean(n.index)
-                                : active_profile[n.index];
+    if (original && config_.time_decay) {
+      w *= TimeDecayWeight(row.Stamp(j, n.index));
+    }
+    const double cell = row.Value(j, n.index);
+    const double value = center ? cell - train_.ItemMean(n.index) : cell;
     num += w * n.similarity * value;
     den += w * n.similarity;
   }
@@ -292,14 +470,17 @@ std::optional<double> CfsfModel::PredictSirOnly(matrix::UserId user,
   CFSF_REQUIRE(user < train_.num_users(), "user id out of range");
   CFSF_REQUIRE(item < train_.num_items(), "item id out of range");
   CFSF_FAILPOINT("cfsf.predict.sir");
-  return SirEstimate(user, item, gis_.TopM(item, config_.top_m_items));
+  const auto top_items = gis_.TopM(item, config_.top_m_items);
+  const QueryCells cells(train_, clusters_, user, {}, top_items, item);
+  return SirEstimate(item, top_items, cells);
 }
 
-FusionBreakdown CfsfModel::PredictWithNeighbors(
+template <class Cells>
+FusionBreakdown CfsfModel::PredictWithCells(
     matrix::UserId user, matrix::ItemId item,
-    std::span<const SelectedUser> neighbors) const {
+    std::span<const sim::Neighbor> top_items,
+    std::span<const SelectedUser> neighbors, const Cells& cells) const {
   CFSF_FAILPOINT("cfsf.predict");
-  const auto top_items = gis_.TopM(item, config_.top_m_items);
   const double user_mean = train_.UserMean(user);
 
   FusionBreakdown result;
@@ -308,22 +489,26 @@ FusionBreakdown CfsfModel::PredictWithNeighbors(
   const double item_anchor = center ? train_.ItemMean(item) : 0.0;
 
   if (config_.use_sir) {
-    result.sir = SirEstimate(user, item, top_items);
+    result.sir = SirEstimate(item, top_items, cells);
   }
 
   // --- SUR′: mean-centred ratings of the top-K like-minded users on the
   // active item (Eq. 12, second line).
   if (config_.use_sur) {
+    const std::size_t item_slot = top_items.size();
     double num = 0.0;
     double den = 0.0;
-    for (const auto& t : neighbors) {
-      const bool original = clusters_.OriginalMask(t.user)[item] != 0;
+    for (std::size_t k = 0; k < neighbors.size(); ++k) {
+      const auto row = cells.row(k + 1);
+      const bool original = row.Original(item_slot, item);
       if (!original && !config_.sur_uses_smoothed) continue;
       double w = sim::ProvenanceWeight(original, config_.epsilon);
-      if (original) w *= TimeDecayWeight(t.user, item);
-      const double value = clusters_.SmoothedProfile(t.user)[item];
-      num += w * t.similarity * (value - clusters_.UserMean(t.user));
-      den += w * t.similarity;
+      if (original && config_.time_decay) {
+        w *= TimeDecayWeight(row.Stamp(item_slot, item));
+      }
+      const double similarity = neighbors[k].similarity;
+      num += w * similarity * (row.Value(item_slot, item) - row.mean);
+      den += w * similarity;
     }
     if (den > 0.0) result.sur = user_mean + num / den;
   }
@@ -335,14 +520,15 @@ FusionBreakdown CfsfModel::PredictWithNeighbors(
     double den = 0.0;
     const double w_original = 1.0 - config_.epsilon;
     const double w_smoothed = config_.epsilon;
-    for (const auto& t : neighbors) {
-      const auto profile = clusters_.SmoothedProfile(t.user);
-      const auto mask = clusters_.OriginalMask(t.user);
-      const double user_sim = t.similarity;
+    const bool local_smoothed = config_.local_matrix_smoothed;
+    for (std::size_t k = 0; k < neighbors.size(); ++k) {
+      const auto row = cells.row(k + 1);
+      const double user_sim = neighbors[k].similarity;
       const double user_sim_sq = user_sim * user_sim;
-      for (const auto& s : top_items) {
-        const bool original = mask[s.index] != 0;
-        if (!original && !config_.local_matrix_smoothed) continue;
+      for (std::size_t j = 0; j < top_items.size(); ++j) {
+        const auto& s = top_items[j];
+        const bool original = row.Original(j, s.index);
+        if (!original && !local_smoothed) continue;
         // Eq. 13 inlined with the per-neighbour square hoisted out.
         const double item_sim = s.similarity;
         const double sum_sq = item_sim * item_sim + user_sim_sq;
@@ -350,10 +536,11 @@ FusionBreakdown CfsfModel::PredictWithNeighbors(
         const double cross = item_sim * user_sim / std::sqrt(sum_sq);
         if (cross <= 0.0) continue;
         double w = original ? w_original : w_smoothed;
-        if (original && config_.time_decay) w *= TimeDecayWeight(t.user, s.index);
-        const double value = center ? profile[s.index] -
-                                          train_.ItemMean(s.index)
-                                    : profile[s.index];
+        if (original && config_.time_decay) {
+          w *= TimeDecayWeight(row.Stamp(j, s.index));
+        }
+        const double cell = row.Value(j, s.index);
+        const double value = center ? cell - train_.ItemMean(s.index) : cell;
         num += w * cross * value;
         den += w * cross;
       }
@@ -401,7 +588,9 @@ FusionBreakdown CfsfModel::PredictDetailed(matrix::UserId user,
   metrics.predict_count.Increment();
   obs::ScopedTimer timer(metrics.predict_latency_us);
   const auto neighbors = TopKUsersCached(user);
-  return PredictWithNeighbors(user, item, *neighbors);
+  const auto top_items = gis_.TopM(item, config_.top_m_items);
+  const QueryCells cells(train_, clusters_, user, *neighbors, top_items, item);
+  return PredictWithCells(user, item, top_items, *neighbors, cells);
 }
 
 std::vector<double> CfsfModel::PredictBatch(
@@ -413,8 +602,8 @@ std::vector<double> CfsfModel::PredictBatch(
   metrics.predict_count.Increment(queries.size());
   std::vector<double> out(queries.size(), 0.0);
 
-  // Group query indices by user so each worker selects a user's top-K
-  // exactly once.
+  // Group query indices by user so each worker selects a user's top-K and
+  // gathers their cells exactly once.
   std::map<matrix::UserId, std::vector<std::size_t>> by_user;
   for (std::size_t idx = 0; idx < queries.size(); ++idx) {
     by_user[queries[idx].first].push_back(idx);
@@ -429,10 +618,13 @@ std::vector<double> CfsfModel::PredictBatch(
       0, groups.size(),
       [&](std::size_t g) {
         const auto neighbors = TopKUsersCached(groups[g].first);
+        const CallCells cells(train_, clusters_, groups[g].first, *neighbors);
         for (const std::size_t idx : groups[g].second) {
           obs::ScopedTimer timer(metrics.predict_latency_us);
-          out[idx] = PredictWithNeighbors(queries[idx].first,
-                                          queries[idx].second, *neighbors)
+          const auto [user, item] = queries[idx];
+          out[idx] = PredictWithCells(user, item,
+                                      gis_.TopM(item, config_.top_m_items),
+                                      *neighbors, cells)
                          .fused;
         }
       },
@@ -445,15 +637,22 @@ std::vector<CfsfModel::Recommendation> CfsfModel::RecommendTopN(
   CFSF_REQUIRE(fitted_, "RecommendTopN before Fit");
   CFSF_REQUIRE(user < train_.num_users(), "user id out of range");
   const auto neighbors = TopKUsersCached(user);
-  const auto mask = clusters_.OriginalMask(user);
+  const CallCells cells(train_, clusters_, user, *neighbors);
+  const auto rated = train_.UserRow(user);
 
   std::vector<Recommendation> all;
-  all.reserve(train_.num_items());
+  all.reserve(train_.num_items() - rated.size());
+  std::size_t next_rated = 0;  // cursor into the sorted row
   for (std::size_t i = 0; i < train_.num_items(); ++i) {
-    if (mask[i]) continue;  // already rated
+    if (next_rated < rated.size() && rated[next_rated].index == i) {
+      ++next_rated;  // already rated
+      continue;
+    }
     const auto item = static_cast<matrix::ItemId>(i);
     all.push_back(Recommendation{
-        item, PredictWithNeighbors(user, item, *neighbors).fused});
+        item, PredictWithCells(user, item, gis_.TopM(item, config_.top_m_items),
+                               *neighbors, cells)
+                  .fused});
   }
   const std::size_t take = std::min(n, all.size());
   std::partial_sort(all.begin(), all.begin() + take, all.end(),

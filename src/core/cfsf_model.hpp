@@ -3,8 +3,9 @@
 // Offline (Fit):
 //   1. GIS — global item similarity, descending-sorted, thresholded (Eq. 5)
 //   2. K-means user clusters under PCC (Eq. 6)
-//   3. Cluster smoothing of unrated cells (Eq. 7–8) and per-user
-//      iCluster affinity lists (Eq. 9)
+//   3. Cluster deviations for smoothing unrated cells (Eq. 7–8) and
+//      per-user iCluster affinity lists (Eq. 9); smoothed cells are
+//      derived on demand, never stored
 //
 // Online (Predict):
 //   4. top-M similar items straight off the GIS row
@@ -148,18 +149,27 @@ class CfsfModel : public eval::Predictor, public eval::DegradableModel {
   void ClearCache() const CFSF_EXCLUDES(cache_mutex_);
 
  private:
-  struct Components;
+  // Eq. 7 cells of one call's users (the active user and the top-K),
+  // derived from their rows: for one query's top-M items, or for every
+  // item.  Defined in cfsf_model.cpp.
+  class QueryCells;
+  class CallCells;
 
   std::vector<SelectedUser> ComputeTopKUsers(matrix::UserId user) const;
   std::shared_ptr<const std::vector<SelectedUser>> TopKUsersCached(
       matrix::UserId user) const;
-  std::optional<double> SirEstimate(
-      matrix::UserId user, matrix::ItemId item,
-      std::span<const sim::Neighbor> top_items) const;
-  FusionBreakdown PredictWithNeighbors(
-      matrix::UserId user, matrix::ItemId item,
-      std::span<const SelectedUser> neighbors) const;
-  double TimeDecayWeight(matrix::UserId user, matrix::ItemId item) const;
+  template <class Cells>
+  std::optional<double> SirEstimate(matrix::ItemId item,
+                                    std::span<const sim::Neighbor> top_items,
+                                    const Cells& cells) const;
+  template <class Cells>
+  FusionBreakdown PredictWithCells(matrix::UserId user, matrix::ItemId item,
+                                   std::span<const sim::Neighbor> top_items,
+                                   std::span<const SelectedUser> neighbors,
+                                   const Cells& cells) const;
+  // Exponential time-decay weight of an original rating stamped `stamp`
+  // (1 for an untimed rating); callers apply it only when time_decay is on.
+  double TimeDecayWeight(matrix::Timestamp stamp) const;
 
   CfsfConfig config_;
   bool fitted_ = false;

@@ -1,5 +1,5 @@
-// Row-major dense matrix.  Holds the smoothed rating matrix (Eq. 7 fills
-// every cell) and K-means centroids.
+// Row-major dense matrix.  Holds the C×Q cluster deviation table (Eq. 8)
+// and K-means centroids; nothing user×item is dense.
 #pragma once
 
 #include <cstddef>

@@ -85,21 +85,29 @@ double CrossWeight(double item_similarity, double user_similarity) {
 
 double SmoothingAwarePcc(std::span<const matrix::Entry> active_row,
                          double active_mean,
-                         std::span<const double> candidate_profile,
-                         std::span<const std::uint8_t> candidate_original_mask,
+                         std::span<const matrix::Entry> candidate_row,
+                         std::span<const double> candidate_deviations,
                          double candidate_mean, double epsilon) {
-  CFSF_REQUIRE(candidate_profile.size() == candidate_original_mask.size(),
-               "profile/mask size mismatch");
+  // Rows are index-sorted, so their last entries bound every item read.
+  const auto covers = [&](std::span<const matrix::Entry> row) {
+    return row.empty() || row.back().index < candidate_deviations.size();
+  };
+  CFSF_REQUIRE(covers(active_row) && covers(candidate_row),
+               "deviation row shorter than the rows' item range");
   CFSF_REQUIRE(epsilon >= 0.0 && epsilon <= 1.0, "epsilon must be in [0,1]");
   double num = 0.0;
   double sq_candidate = 0.0;
   double sq_active = 0.0;
+  std::size_t j = 0;
   for (const auto& e : active_row) {
-    CFSF_ASSERT(e.index < candidate_profile.size(),
-                "active row references an item outside the profile");
-    const double w =
-        ProvenanceWeight(candidate_original_mask[e.index] != 0, epsilon);
-    const double dc = candidate_profile[e.index] - candidate_mean;
+    while (j < candidate_row.size() && candidate_row[j].index < e.index) ++j;
+    const bool original =
+        j < candidate_row.size() && candidate_row[j].index == e.index;
+    const double value = original
+                             ? static_cast<double>(candidate_row[j].value)
+                             : candidate_mean + candidate_deviations[e.index];
+    const double w = ProvenanceWeight(original, epsilon);
+    const double dc = value - candidate_mean;
     const double da = e.value - active_mean;
     num += w * dc * da;
     sq_candidate += w * w * dc * dc;

@@ -58,17 +58,21 @@ inline double ProvenanceWeight(bool is_original, double w) {
 }
 
 /// Eq. 10: smoothing-aware PCC between an active user (original sparse
-/// row, no provenance weights on their side) and a candidate user given as
-/// a dense smoothed profile plus a mask of which cells are original.
-/// The sum runs over the items the *active* user rated (the paper's
-/// f: i ∈ I{u_a}).
+/// row, no provenance weights on their side) and a candidate user's Eq. 7
+/// profile, given by what it is derived from: the candidate's sorted
+/// sparse row, mean r̄_u and cluster deviation row Δr_{C(u),·}.  A cell is
+/// original (weight 1 − w) where the candidate rated the item, and
+/// r̄_u + Δr_{C(u),i} (weight w) elsewhere.  The sum runs over the items
+/// the *active* user rated (the paper's f: i ∈ I{u_a}).  The pairwise
+/// reference for cluster::ClusterModel::PoolSimilarities, which scores a
+/// whole candidate pool at once to the same bits.
 ///
 ///   sim = Σ w·(r_u,i − r̄_u)(r_ua,i − r̄_ua)
 ///         / sqrt(Σ w²(r_u,i − r̄_u)²) / sqrt(Σ (r_ua,i − r̄_ua)²)
 double SmoothingAwarePcc(std::span<const matrix::Entry> active_row,
                          double active_mean,
-                         std::span<const double> candidate_profile,
-                         std::span<const std::uint8_t> candidate_original_mask,
+                         std::span<const matrix::Entry> candidate_row,
+                         std::span<const double> candidate_deviations,
                          double candidate_mean, double epsilon);
 
 }  // namespace cfsf::sim

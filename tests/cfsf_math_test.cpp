@@ -113,12 +113,17 @@ TEST(CfsfMath, Eq7SmoothedCellByHand) {
   const auto m = TwoCampWorld();
   const auto model = cluster::ClusterModel::Build(m, CampAssignments(), 2);
   // u2 did not rate i3: smoothed = r̄_u2 + Δ(A, i3) = 11/3 - 1.5 = 13/6.
-  EXPECT_NEAR(model.SmoothedProfile(2)[3], 11.0 / 3.0 - 1.5, 1e-12);
+  const auto u2_i3 = model.SmoothedCell(2, m.UserRow(2), 3);
+  EXPECT_FALSE(u2_i3.original);
+  EXPECT_NEAR(u2_i3.value, 11.0 / 3.0 - 1.5, 1e-12);
   // u5 did not rate i1: Δ(B, i1) = ((2-3)+(1-3))/2 = -1.5 →
   // smoothed = 11/3 - 1.5 = 13/6.
-  EXPECT_NEAR(model.SmoothedProfile(5)[1], 11.0 / 3.0 - 1.5, 1e-12);
+  EXPECT_NEAR(model.SmoothedCell(5, m.UserRow(5), 1).value, 11.0 / 3.0 - 1.5,
+              1e-12);
   // Original cells pass through untouched.
-  EXPECT_DOUBLE_EQ(model.SmoothedProfile(2)[0], 5.0);
+  const auto u2_i0 = model.SmoothedCell(2, m.UserRow(2), 0);
+  EXPECT_TRUE(u2_i0.original);
+  EXPECT_DOUBLE_EQ(u2_i0.value, 5.0);
 }
 
 TEST(CfsfMath, Eq9AffinityPrefersOwnCamp) {
@@ -190,8 +195,8 @@ TEST(CfsfMath, Eq10SelectionByHand) {
   const auto m = TwoCampWorld();
   const auto model = cluster::ClusterModel::Build(m, CampAssignments(), 2);
   const double s = sim::SmoothingAwarePcc(
-      m.UserRow(0), m.UserMean(0), model.SmoothedProfile(1),
-      model.OriginalMask(1), model.UserMean(1), /*w=*/0.0);
+      m.UserRow(0), m.UserMean(0), m.UserRow(1),
+      model.DeviationRow(model.ClusterOf(1)), model.UserMean(1), /*w=*/0.0);
   EXPECT_NEAR(s, 0.8, 1e-12);
 }
 

@@ -184,6 +184,34 @@ TEST(ClusterModelValidate, DetectsMatrixMismatch) {
   EXPECT_THROW(model.DebugValidate(other), util::InvariantError);
 }
 
+TEST(ClusterModelValidate, DetectsItemShapeMismatch) {
+  const auto matrix = data::GenerateSynthetic(SmallWorld());
+  cluster::KMeansConfig kconfig;
+  kconfig.num_clusters = 4;
+  const auto kmeans = cluster::RunKMeans(matrix, kconfig);
+  const auto model =
+      cluster::ClusterModel::Build(matrix, kmeans.assignments, 4);
+  // Same users and ratings, one more item column.
+  matrix::RatingMatrixBuilder wider(matrix.num_users(), matrix.num_items() + 1);
+  for (const auto& t : matrix.ToTriples()) wider.Add(t);
+  EXPECT_THROW(model.DebugValidate(wider.Build()), util::InvariantError);
+}
+
+TEST(ClusterModelValidate, DetectsStaleUserMeans) {
+  // Same shape, one rating changed: Eq. 7 derives every smoothed cell from
+  // r̄_u, so a model built from other ratings must not validate.
+  const auto matrix = data::GenerateSynthetic(SmallWorld());
+  cluster::KMeansConfig kconfig;
+  kconfig.num_clusters = 4;
+  const auto kmeans = cluster::RunKMeans(matrix, kconfig);
+  const auto model =
+      cluster::ClusterModel::Build(matrix, kmeans.assignments, 4);
+  const auto first = matrix.UserRow(0).front();
+  const auto changed =
+      matrix.WithRating(0, first.index, first.value == 5.0F ? 1.0F : 5.0F);
+  EXPECT_THROW(model.DebugValidate(changed), util::InvariantError);
+}
+
 // --- End-to-end: a fitted CFSF model validates everywhere ---------------
 
 TEST(ModelValidate, FittedModelPassesAllSweeps) {

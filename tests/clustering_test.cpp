@@ -2,12 +2,14 @@
 // iCluster model (Eqs. 6–9).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
 #include "clustering/kmeans.hpp"
 #include "clustering/smoothing.hpp"
 #include "data/synthetic.hpp"
+#include "similarity/kernels.hpp"
 #include "util/error.hpp"
 
 namespace cfsf::cluster {
@@ -179,14 +181,18 @@ TEST(ClusterModel, Eq7SmoothedCells) {
   const std::vector<std::uint32_t> assignments{0, 0};
   const auto model = ClusterModel::Build(m, assignments, 1);
   // Original cells pass through.
-  EXPECT_DOUBLE_EQ(model.SmoothedProfile(0)[0], 5.0);
+  EXPECT_DOUBLE_EQ(model.SmoothedCell(0, m.UserRow(0), 0).value, 5.0);
   // u0 unrated i1: r̄_u0 + Δ(C0, i1) = 3 + (2-3)/1 = 2.
-  EXPECT_NEAR(model.SmoothedProfile(0)[1], 2.0, 1e-12);
+  EXPECT_NEAR(model.SmoothedCell(0, m.UserRow(0), 1).value, 2.0, 1e-12);
   // u1 unrated i2: 3 + (1-3)/1 = 1.
-  EXPECT_NEAR(model.SmoothedProfile(1)[2], 1.0, 1e-12);
-  // Masks reflect provenance.
-  EXPECT_NE(model.OriginalMask(0)[0], 0);
-  EXPECT_EQ(model.OriginalMask(0)[1], 0);
+  EXPECT_NEAR(model.SmoothedCell(1, m.UserRow(1), 2).value, 1.0, 1e-12);
+  // The provenance bit is row membership.
+  EXPECT_TRUE(model.SmoothedCell(0, m.UserRow(0), 0).original);
+  EXPECT_FALSE(model.SmoothedCell(0, m.UserRow(0), 1).original);
+  // The deviation row is Δ(C0, ·).
+  const auto deviations = model.DeviationRow(0);
+  ASSERT_EQ(deviations.size(), 3u);
+  EXPECT_NEAR(deviations[1], -1.0, 1e-12);
 }
 
 TEST(ClusterModel, FallbackToGlobalDeviation) {
@@ -212,7 +218,7 @@ TEST(ClusterModel, EntirelyUnratedItemDeviatesZero) {
   const auto model = ClusterModel::Build(m, assignments, 1);
   EXPECT_DOUBLE_EQ(model.ClusterDeviation(0, 1), 0.0);
   // Smoothed value = user mean + 0.
-  EXPECT_DOUBLE_EQ(model.SmoothedProfile(0)[1], m.UserMean(0));
+  EXPECT_DOUBLE_EQ(model.SmoothedCell(0, m.UserRow(0), 1).value, m.UserMean(0));
 }
 
 TEST(ClusterModel, DeviationShrinkagePullsTowardGlobal) {
@@ -276,8 +282,12 @@ TEST(ClusterModel, SmoothedMatrixCoversEveryCell) {
   const auto kmeans = RunKMeans(m, config);
   const auto model = ClusterModel::Build(m, kmeans.assignments, 4);
   for (std::size_t u = 0; u < m.num_users(); ++u) {
-    const auto profile = model.SmoothedProfile(static_cast<matrix::UserId>(u));
-    for (const double v : profile) EXPECT_TRUE(std::isfinite(v));
+    const auto user = static_cast<matrix::UserId>(u);
+    for (std::size_t i = 0; i < m.num_items(); ++i) {
+      const auto cell = model.SmoothedCell(user, m.UserRow(user),
+                                           static_cast<matrix::ItemId>(i));
+      EXPECT_TRUE(std::isfinite(cell.value));
+    }
   }
 }
 
@@ -293,16 +303,15 @@ TEST(ClusterModel, OriginalMaskMatchesMatrix) {
   const auto kmeans = RunKMeans(m, config);
   const auto model = ClusterModel::Build(m, kmeans.assignments, 3);
   for (std::size_t u = 0; u < m.num_users(); ++u) {
-    const auto mask = model.OriginalMask(static_cast<matrix::UserId>(u));
-    std::size_t set_bits = 0;
-    for (std::size_t i = 0; i < mask.size(); ++i) {
-      if (mask[i]) {
-        ++set_bits;
-        EXPECT_TRUE(m.HasRating(static_cast<matrix::UserId>(u),
-                                static_cast<matrix::ItemId>(i)));
-      }
+    const auto user = static_cast<matrix::UserId>(u);
+    std::size_t originals = 0;
+    for (std::size_t i = 0; i < m.num_items(); ++i) {
+      const auto item = static_cast<matrix::ItemId>(i);
+      const auto cell = model.SmoothedCell(user, m.UserRow(user), item);
+      EXPECT_EQ(cell.original, m.HasRating(user, item));
+      originals += cell.original ? 1 : 0;
     }
-    EXPECT_EQ(set_bits, m.UserRatingCount(static_cast<matrix::UserId>(u)));
+    EXPECT_EQ(originals, m.UserRatingCount(user));
   }
 }
 
@@ -311,11 +320,54 @@ TEST(ClusterModel, ParallelMatchesSerial) {
   const std::vector<std::uint32_t> assignments{0, 0, 0, 0, 1, 1, 1, 1};
   const auto a = ClusterModel::Build(m, assignments, 2, /*parallel=*/true);
   const auto b = ClusterModel::Build(m, assignments, 2, /*parallel=*/false);
-  for (std::size_t u = 0; u < m.num_users(); ++u) {
-    const auto pa = a.SmoothedProfile(static_cast<matrix::UserId>(u));
-    const auto pb = b.SmoothedProfile(static_cast<matrix::UserId>(u));
-    for (std::size_t i = 0; i < pa.size(); ++i) EXPECT_DOUBLE_EQ(pa[i], pb[i]);
+  for (std::uint32_t c = 0; c < 2; ++c) {
+    const auto da = a.DeviationRow(c);
+    const auto db = b.DeviationRow(c);
+    for (std::size_t i = 0; i < da.size(); ++i) EXPECT_DOUBLE_EQ(da[i], db[i]);
   }
+  for (std::size_t u = 0; u < m.num_users(); ++u) {
+    const auto user = static_cast<matrix::UserId>(u);
+    EXPECT_EQ(a.UserMean(user), b.UserMean(user));
+    const auto ia = a.IClusterOf(user);
+    const auto ib = b.IClusterOf(user);
+    EXPECT_TRUE(std::equal(ia.begin(), ia.end(), ib.begin(), ib.end()));
+  }
+}
+
+TEST(ClusterModel, PoolSimilaritiesEqualThePairwiseKernel) {
+  data::SyntheticConfig dconfig;
+  dconfig.num_users = 50;
+  dconfig.num_items = 70;
+  dconfig.min_ratings_per_user = 8;
+  dconfig.log_mean = 2.8;
+  const auto m = data::GenerateSynthetic(dconfig);
+  KMeansConfig config;
+  config.num_clusters = 5;
+  const auto kmeans = RunKMeans(m, config);
+  const auto model = ClusterModel::Build(m, kmeans.assignments, 5);
+  // Every other user in id order: clusters interleave, so runs of one
+  // cluster are short.
+  for (matrix::UserId active = 0; active < 6; ++active) {
+    std::vector<matrix::UserId> pool;
+    for (matrix::UserId u = 0; u < m.num_users(); ++u) {
+      if (u != active) pool.push_back(u);
+    }
+    for (const double eps : {0.0, 0.35, 1.0}) {
+      const auto got = model.PoolSimilarities(m, m.UserRow(active),
+                                              m.UserMean(active), pool, eps);
+      ASSERT_EQ(got.size(), pool.size());
+      for (std::size_t s = 0; s < pool.size(); ++s) {
+        const double want = sim::SmoothingAwarePcc(
+            m.UserRow(active), m.UserMean(active), m.UserRow(pool[s]),
+            model.DeviationRow(model.ClusterOf(pool[s])),
+            model.UserMean(pool[s]), eps);
+        EXPECT_EQ(got[s], want) << "active " << active << " candidate "
+                                << pool[s] << " eps " << eps;
+      }
+    }
+  }
+  EXPECT_THROW(model.PoolSimilarities(m, m.UserRow(0), m.UserMean(0), {}, 1.5),
+               util::ConfigError);
 }
 
 TEST(ClusterModel, ValidatesInputs) {

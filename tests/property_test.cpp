@@ -101,8 +101,8 @@ TEST_P(SimilarityProperties, SmoothingAwarePccBounded) {
       if (a == b) continue;
       for (const double eps : {0.0, 0.35, 1.0}) {
         const double s = sim::SmoothingAwarePcc(
-            m.UserRow(a), m.UserMean(a), model.SmoothedProfile(b),
-            model.OriginalMask(b), model.UserMean(b), eps);
+            m.UserRow(a), m.UserMean(a), m.UserRow(b),
+            model.DeviationRow(model.ClusterOf(b)), model.UserMean(b), eps);
         EXPECT_GE(s, -1.0 - 1e-9);
         EXPECT_LE(s, 1.0 + 1e-9);
       }
@@ -141,9 +141,12 @@ TEST_P(ClusteringProperties, SmoothedMatrixPreservesOriginals) {
   const auto kmeans = cluster::RunKMeans(m, config);
   const auto model = cluster::ClusterModel::Build(m, kmeans.assignments, clusters);
   for (std::size_t u = 0; u < m.num_users(); ++u) {
-    const auto profile = model.SmoothedProfile(static_cast<matrix::UserId>(u));
-    for (const auto& e : m.UserRow(static_cast<matrix::UserId>(u))) {
-      EXPECT_DOUBLE_EQ(profile[e.index], e.value);
+    const auto user = static_cast<matrix::UserId>(u);
+    const auto row = m.UserRow(user);
+    for (const auto& e : row) {
+      const auto cell = model.SmoothedCell(user, row, e.index);
+      EXPECT_TRUE(cell.original);
+      EXPECT_DOUBLE_EQ(cell.value, e.value);
     }
   }
 }

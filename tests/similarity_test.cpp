@@ -130,41 +130,59 @@ TEST(SmoothingAwarePcc, AllOriginalMatchesPlainPcc) {
   // except w² in the candidate norm: with a single constant weight c,
   // num ~ c, den ~ sqrt(c²)·|a| = c·|a| — so it cancels exactly.
   const std::vector<Entry> active{{0, 5}, {1, 3}, {2, 1}};
-  const std::vector<double> profile{4.0, 3.0, 2.0, 9.0};
-  const std::vector<std::uint8_t> mask{1, 1, 1, 1};
-  const double got = SmoothingAwarePcc(active, 3.0, profile, mask, 3.0, 0.35);
   const std::vector<Entry> candidate{{0, 4}, {1, 3}, {2, 2}, {3, 9}};
+  const std::vector<double> deviations{0.5, -0.5, 1.0, -1.0};  // never read
+  const double got =
+      SmoothingAwarePcc(active, 3.0, candidate, deviations, 3.0, 0.35);
   const double want = PearsonSparse(active, candidate, 3.0, 3.0).value;
   EXPECT_NEAR(got, want, 1e-12);
 }
 
 TEST(SmoothingAwarePcc, WeightsChangeResultWhenMixed) {
   // Asymmetric deviations so the w ↔ 1-w swap is visible: the original
-  // cell carries a deviation of 2, the smoothed one only -1.
+  // cell carries a deviation of 2, the smoothed one (r̄ + Δ = 3 - 1) only -1.
   const std::vector<Entry> active{{0, 5}, {1, 1}};
-  const std::vector<double> profile{5.0, 2.0};
-  const std::vector<std::uint8_t> mixed{1, 0};
-  const double w_lo = SmoothingAwarePcc(active, 3.0, profile, mixed, 3.0, 0.1);
-  const double w_hi = SmoothingAwarePcc(active, 3.0, profile, mixed, 3.0, 0.9);
+  const std::vector<Entry> candidate{{0, 5}};
+  const std::vector<double> deviations{0.0, -1.0};
+  const double w_lo =
+      SmoothingAwarePcc(active, 3.0, candidate, deviations, 3.0, 0.1);
+  const double w_hi =
+      SmoothingAwarePcc(active, 3.0, candidate, deviations, 3.0, 0.9);
   EXPECT_GT(std::abs(w_lo - w_hi), 1e-3);
+}
+
+TEST(SmoothingAwarePcc, SmoothedCellIsMeanPlusDeviation) {
+  // The candidate rated nothing the active user rated, so every cell is
+  // r̄ + Δ: the same as an all-original candidate holding those values,
+  // up to the constant weight w that cancels.
+  const std::vector<Entry> active{{0, 5}, {2, 1}, {3, 4}};
+  const std::vector<Entry> candidate{{1, 2}};
+  const std::vector<double> deviations{1.0, 0.0, -2.0, 0.5};
+  const double got =
+      SmoothingAwarePcc(active, 3.0, candidate, deviations, 3.0, 0.35);
+  const std::vector<Entry> filled{{0, 4.0F}, {2, 1.0F}, {3, 3.5F}};
+  const double want = PearsonSparse(active, filled, 3.0, 3.0).value;
+  EXPECT_NEAR(got, want, 1e-12);
 }
 
 TEST(SmoothingAwarePcc, ValidatesInputs) {
   const std::vector<Entry> active{{0, 5}};
-  const std::vector<double> profile{4.0};
-  const std::vector<std::uint8_t> short_mask;  // size mismatch
-  EXPECT_THROW(SmoothingAwarePcc(active, 3.0, profile, short_mask, 3.0, 0.5),
-               util::ConfigError);
-  const std::vector<std::uint8_t> mask{1};
-  EXPECT_THROW(SmoothingAwarePcc(active, 3.0, profile, mask, 3.0, 1.5),
+  const std::vector<Entry> candidate{{0, 4}};
+  const std::vector<double> short_deviations;  // wrong length for item 0
+  EXPECT_THROW(
+      SmoothingAwarePcc(active, 3.0, candidate, short_deviations, 3.0, 0.5),
+      util::ConfigError);
+  const std::vector<double> deviations{0.0};
+  EXPECT_THROW(SmoothingAwarePcc(active, 3.0, candidate, deviations, 3.0, 1.5),
                util::ConfigError);
 }
 
 TEST(SmoothingAwarePcc, EmptyActiveRowIsZero) {
   const std::vector<Entry> active;
-  const std::vector<double> profile{1.0, 2.0};
-  const std::vector<std::uint8_t> mask{1, 1};
-  EXPECT_DOUBLE_EQ(SmoothingAwarePcc(active, 3.0, profile, mask, 3.0, 0.5), 0.0);
+  const std::vector<Entry> candidate{{0, 1}, {1, 2}};
+  const std::vector<double> deviations{0.0, 0.0};
+  EXPECT_DOUBLE_EQ(
+      SmoothingAwarePcc(active, 3.0, candidate, deviations, 3.0, 0.5), 0.0);
 }
 
 // ----------------------------------------------------------------- GIS ----

@@ -327,6 +327,107 @@ TEST_F(ModelStress, ConcurrentTopNAndSelection) {
   for (auto& t : threads) t.join();
 }
 
+// Every read path keeps per-call and per-thread scratch (the top-K pool
+// index and the Eq. 7 cell index).  Four threads run Predict,
+// PredictBatch, RecommendTopN and cold SelectTopKUsers on one uncached
+// model — each thread starting at a different operation, so all four
+// run at once on the same users — and every answer must equal, bit for
+// bit, the one a serial run gave.
+TEST_F(ModelStress, ConcurrentReadPathsMatchSerialAnswers) {
+  auto config = model_->config();
+  config.use_cache = false;  // every call selects its top-K cold
+  const auto cold = core::CfsfModel::Restore(config, model_->train(),
+                                             model_->gis(), [&] {
+    std::vector<std::uint32_t> assignments;
+    for (matrix::UserId u = 0; u < model_->train().num_users(); ++u) {
+      assignments.push_back(model_->cluster_model().ClusterOf(u));
+    }
+    return assignments;
+  }());
+
+  constexpr matrix::UserId kUsers = 24;
+  struct Answers {
+    std::vector<core::SelectedUser> selected;
+    std::vector<double> predictions;  // Predict over kItems items
+    std::vector<double> batch;        // PredictBatch over the same items
+    std::vector<core::CfsfModel::Recommendation> top_n;
+  };
+  constexpr matrix::ItemId kItems = 12;
+  const auto queries_of = [](matrix::UserId u) {
+    std::vector<std::pair<matrix::UserId, matrix::ItemId>> queries;
+    for (matrix::ItemId i = 0; i < kItems; ++i) {
+      queries.emplace_back(u, static_cast<matrix::ItemId>((u * 7 + i * 11) % 150));
+    }
+    return queries;
+  };
+  std::vector<Answers> serial(kUsers);
+  for (matrix::UserId u = 0; u < kUsers; ++u) {
+    serial[u].selected = cold->SelectTopKUsers(u);
+    for (const auto& [user, item] : queries_of(u)) {
+      serial[u].predictions.push_back(cold->Predict(user, item));
+    }
+    serial[u].batch = cold->PredictBatch(queries_of(u));
+    serial[u].top_n = cold->RecommendTopN(u, 5);
+  }
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 3; ++round) {
+        for (matrix::UserId u = 0; u < kUsers; ++u) {
+          const auto& want = serial[u];
+          for (int op = 0; op < 4; ++op) {
+            switch ((op + t) % 4) {
+              case 0: {
+                const auto got = cold->SelectTopKUsers(u);
+                bool same = got.size() == want.selected.size();
+                for (std::size_t k = 0; same && k < got.size(); ++k) {
+                  same = got[k].user == want.selected[k].user &&
+                         got[k].similarity == want.selected[k].similarity;
+                }
+                if (!same) mismatches.fetch_add(1);
+                break;
+              }
+              case 1: {
+                const auto queries = queries_of(u);
+                for (std::size_t q = 0; q < queries.size(); ++q) {
+                  if (cold->Predict(queries[q].first, queries[q].second) !=
+                      want.predictions[q]) {
+                    mismatches.fetch_add(1);
+                  }
+                }
+                break;
+              }
+              case 2:
+                if (cold->PredictBatch(queries_of(u)) != want.batch) {
+                  mismatches.fetch_add(1);
+                }
+                break;
+              default: {
+                const auto got = cold->RecommendTopN(u, 5);
+                bool same = got.size() == want.top_n.size();
+                for (std::size_t k = 0; same && k < got.size(); ++k) {
+                  same = got[k].item == want.top_n[k].item &&
+                         got[k].score == want.top_n[k].score;
+                }
+                if (!same) mismatches.fetch_add(1);
+                break;
+              }
+            }
+          }
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  // The batch path and the single-query path read the same cells.
+  for (matrix::UserId u = 0; u < kUsers; ++u) {
+    EXPECT_EQ(serial[u].batch, serial[u].predictions) << "user " << u;
+  }
+}
+
 // Many threads hammer one shared FallbackPredictor while prob:
 // failpoints randomly blow up the full and SIR′ rungs underneath them.
 // Every call must still produce a finite in-range value (the ladder is
