@@ -1,13 +1,19 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels: pairwise
 // similarities, GIS construction, K-means steps, smoothing, user
 // selection, single online predictions and top-N.  `large` variants run
-// at the service benchmark's 4000x2000 scale.
+// at the service benchmark's 4000x2000 scale; BM_SelectTopKUsersByUsers
+// sweeps the user count.
 #include <benchmark/benchmark.h>
+
+#include <map>
+#include <memory>
 
 #include "clustering/kmeans.hpp"
 #include "clustering/smoothing.hpp"
 #include "core/cfsf.hpp"
 #include "data/synthetic.hpp"
+#include "obs/metrics.hpp"
+#include "obs/names.hpp"
 #include "similarity/item_similarity.hpp"
 #include "similarity/kernels.hpp"
 #include "similarity/user_similarity.hpp"
@@ -100,14 +106,20 @@ void BM_UserSimilarityBuild(benchmark::State& state) {
 BENCHMARK(BM_UserSimilarityBuild)->Unit(benchmark::kMillisecond);
 
 void BM_KMeans(benchmark::State& state) {
-  const auto& m = World();
+  const auto& m = state.range(1) != 0 ? LargeWorld() : World();
   cluster::KMeansConfig config;
   config.num_clusters = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(cluster::RunKMeans(m, config));
   }
 }
-BENCHMARK(BM_KMeans)->Arg(10)->Arg(30)->Arg(100)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_KMeans)
+    ->ArgNames({"clusters", "large"})
+    ->Args({10, 0})
+    ->Args({30, 0})
+    ->Args({100, 0})
+    ->Args({30, 1})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SmoothingBuild(benchmark::State& state) {
   const auto& m = state.range(0) != 0 ? LargeWorld() : World();
@@ -151,6 +163,42 @@ void BM_SelectTopKUsers(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SelectTopKUsers)->ArgName("large")->Arg(0)->Arg(1);
+
+// Cold selection as the user count P grows at a fixed 2000 items.  The
+// Section IV-E2 pool takes whole clusters up to a fixed target, so it
+// grows with P only through the cluster size; the time should follow the
+// pool (counter `pool`, its mean size), not P.
+void BM_SelectTopKUsersByUsers(benchmark::State& state) {
+  static std::map<std::int64_t, std::unique_ptr<core::CfsfModel>> models;
+  auto& model = models[state.range(0)];
+  if (!model) {
+    util::SetLogLevel(util::LogLevel::kWarn);
+    data::SyntheticConfig config;
+    config.num_users = static_cast<std::size_t>(state.range(0));
+    config.num_items = 2000;
+    model = std::make_unique<core::CfsfModel>();
+    model->Fit(data::GenerateSynthetic(config));
+  }
+  const auto& pool = obs::MetricsRegistry::Global().GetHistogram(
+      obs::names::kCfsfTopkPoolSize, obs::SizeBuckets());
+  const double sum_before = pool.Sum();
+  const auto count_before = pool.Count();
+  matrix::UserId user = 0;
+  for (auto _ : state) {
+    model->ClearCache();
+    benchmark::DoNotOptimize(model->SelectTopKUsers(user));
+    user = static_cast<matrix::UserId>((user + 1) % model->train().num_users());
+  }
+  const auto selections = pool.Count() - count_before;
+  state.counters["pool"] =
+      selections > 0 ? (pool.Sum() - sum_before) / static_cast<double>(selections)
+                     : 0.0;
+}
+BENCHMARK(BM_SelectTopKUsersByUsers)
+    ->ArgName("users")
+    ->Arg(1000)
+    ->Arg(4000)
+    ->Arg(16000);
 
 void BM_PredictColdCache(benchmark::State& state) {
   const auto& model = FittedModel();

@@ -1,6 +1,7 @@
 #include "baselines/scbpcc.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <vector>
 
 #include "similarity/kernels.hpp"
@@ -26,53 +27,34 @@ void ScbpccPredictor::Fit(const matrix::RatingMatrix& train) {
                                            kconfig.num_clusters,
                                            config_.parallel,
                                            config_.deviation_shrinkage);
-  cluster_members_.assign(kconfig.num_clusters, {});
-  for (std::size_t u = 0; u < train_.num_users(); ++u) {
-    cluster_members_[kmeans.assignments[u]].push_back(
-        static_cast<matrix::UserId>(u));
-  }
 }
 
 double ScbpccPredictor::Predict(matrix::UserId user, matrix::ItemId item) const {
-  const auto active_row = train_.UserRow(user);
   const double active_mean = train_.UserMean(user);
 
   // Candidate set: members of the pre-selected most-affine clusters, or
-  // every user when preselection is disabled.  Recomputed per prediction —
-  // SCBPCC has no result cache.
-  std::vector<matrix::UserId> candidates;
+  // of every cluster when preselection is disabled.  Recomputed per
+  // prediction — SCBPCC has no result cache.  The sort below is a total
+  // order, so the candidates' cluster-by-cluster order does not matter.
+  std::vector<std::uint32_t> pool_clusters;
   if (config_.preselect_clusters == 0) {
-    candidates.reserve(train_.num_users());
-    for (std::size_t c = 0; c < train_.num_users(); ++c) {
-      if (c != user) candidates.push_back(static_cast<matrix::UserId>(c));
-    }
+    pool_clusters.resize(clusters_.num_clusters());
+    std::iota(pool_clusters.begin(), pool_clusters.end(), 0U);
   } else {
-    std::size_t taken = 0;
     for (const auto& affinity : clusters_.IClusterOf(user)) {
-      for (const auto candidate : cluster_members_[affinity.cluster]) {
-        if (candidate != user) candidates.push_back(candidate);
-      }
-      if (++taken >= config_.preselect_clusters) break;
+      pool_clusters.push_back(affinity.cluster);
+      if (pool_clusters.size() >= config_.preselect_clusters) break;
     }
   }
-  const auto similarities = clusters_.PoolSimilarities(
-      train_, active_row, active_mean, candidates, config_.epsilon);
-
-  struct Scored {
-    matrix::UserId user;
-    double similarity;
-  };
-  std::vector<Scored> scored;
-  scored.reserve(candidates.size());
-  for (std::size_t s = 0; s < candidates.size(); ++s) {
-    if (similarities[s] > 0.0) {
-      scored.push_back(Scored{candidates[s], similarities[s]});
-    }
-  }
+  // The active user's own entry reads 0, so the `> 0` filter drops it.
+  auto scored = clusters_.PoolSimilarities(train_, user, pool_clusters,
+                                           config_.epsilon);
+  std::erase_if(scored,
+                [](const cluster::PoolScore& c) { return c.similarity <= 0.0; });
 
   const std::size_t k = std::min(config_.top_k_users, scored.size());
   std::partial_sort(scored.begin(), scored.begin() + k, scored.end(),
-                    [](const Scored& a, const Scored& b) {
+                    [](const cluster::PoolScore& a, const cluster::PoolScore& b) {
                       if (a.similarity != b.similarity) {
                         return a.similarity > b.similarity;
                       }

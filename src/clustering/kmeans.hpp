@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "matrix/dense_matrix.hpp"
@@ -47,5 +48,16 @@ KMeansResult RunKMeans(const matrix::RatingMatrix& matrix,
 /// user's rated items (exposed for tests and for assigning new users).
 double UserCentroidPcc(const matrix::RatingMatrix& matrix, matrix::UserId user,
                        std::span<const double> centroid, double centroid_mean);
+
+/// UserCentroidPcc against every centroid in one pass over the user's row
+/// — the assignment step's kernel.  `centroids_by_item` is the item-major
+/// Q×C centroid table (row i holds every centroid's cell on item i);
+/// `similarity` receives the C results and `scratch` (C long) is
+/// overwritten.  Each cluster's sums run in row order, so similarity[c]
+/// equals UserCentroidPcc against centroid c bit for bit.
+void UserCentroidPccs(const matrix::RatingMatrix& matrix, matrix::UserId user,
+                      const matrix::DenseMatrix& centroids_by_item,
+                      std::span<const double> centroid_means,
+                      std::span<double> similarity, std::span<double> scratch);
 
 }  // namespace cfsf::cluster

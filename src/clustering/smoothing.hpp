@@ -1,8 +1,13 @@
 // Cluster smoothing and iCluster affinity (Sections IV-D).
 //
 // Given K-means assignments, a ClusterModel holds
+//  * each cluster's member list, ascending by user id;
+//  * a rater index: for every (item i, cluster C) the positions in
+//    ItemCol(i) of C's raters, ascending by user — an ordering of the
+//    matrix's CSC, not a copy of its ratings;
 //  * Δr_{C,i} — the mean mean-centred rating of item i inside cluster C
-//    (Eq. 8), with documented fallbacks when no cluster member rated i;
+//    (Eq. 8, summed over the (i, C) segment of the index), with
+//    documented fallbacks when no cluster member rated i;
 //  * the user means r̄_u;
 //  * per-user iCluster lists — clusters ordered by descending Eq. 9
 //    similarity, which drive the top-K candidate pool in the online phase.
@@ -36,6 +41,12 @@ struct ClusterAffinity {
   friend bool operator==(const ClusterAffinity&, const ClusterAffinity&) = default;
 };
 
+/// One candidate scored by ClusterModel::PoolSimilarities.
+struct PoolScore {
+  matrix::UserId user = 0;
+  double similarity = 0.0;  // Eq. 10
+};
+
 class ClusterModel {
  public:
   ClusterModel() = default;
@@ -64,7 +75,9 @@ class ClusterModel {
   std::size_t num_items() const { return deviations_.cols(); }
 
   std::uint32_t ClusterOf(matrix::UserId user) const;
-  std::span<const std::size_t> cluster_sizes() const { return cluster_sizes_; }
+
+  /// The users assigned to `cluster`, ascending.
+  std::span<const matrix::UserId> Members(std::uint32_t cluster) const;
 
   /// Δr_{C,i} (Eq. 8).  Fallback chain when |C_{u',i}| = 0: the global
   /// mean-centred deviation of item i over all its raters; 0 if the item
@@ -93,19 +106,25 @@ class ClusterModel {
   /// iCluster: clusters sorted by descending Eq. 9 similarity to `user`.
   std::span<const ClusterAffinity> IClusterOf(matrix::UserId user) const;
 
-  /// Eq. 10 between an active user and each candidate of `pool`, equal
-  /// bit for bit to sim::SmoothingAwarePcc(active_row, active_mean,
-  /// matrix.UserRow(c), DeviationRow(ClusterOf(c)), UserMean(c), epsilon).
-  /// The pool is scored item by item: each item of `active_row` stamps,
-  /// from its column, the candidates that rated it, and every candidate
-  /// takes one step, so each candidate's sums still run in active-row
-  /// order.  Consecutive candidates of one cluster share a deviation
-  /// load.  O(P + Σ|column| + |active_row|·|pool|).
-  std::vector<double> PoolSimilarities(const matrix::RatingMatrix& matrix,
-                                       std::span<const matrix::Entry> active_row,
-                                       double active_mean,
-                                       std::span<const matrix::UserId> pool,
-                                       double epsilon) const;
+  /// Eq. 10 between `user` and every member c of `clusters` (the
+  /// candidate pool of Section IV-E2): one entry per member, cluster by
+  /// cluster in the given order and ascending within a cluster.  Each
+  /// similarity equals bit for bit sim::SmoothingAwarePcc(
+  /// matrix.UserRow(user), UserMean(user), matrix.UserRow(c),
+  /// DeviationRow(ClusterOf(c)), UserMean(c), epsilon).  The active
+  /// user's own entry, when one of `clusters` holds them, reads 0, so a
+  /// `> 0` filter drops it.  `matrix` must be the one the model was built
+  /// from.
+  ///
+  /// The pool is scored item by item: for each item the user rated, every
+  /// candidate takes its smoothed cell, the pool clusters' segments of the
+  /// rater index overwrite the cells of candidates who rated the item, and
+  /// every candidate takes one step, so each candidate's sums run in
+  /// active-row order.  O(|row|·(|pool| + C_pool) + pool co-ratings): no
+  /// term depends on the user count.
+  std::vector<PoolScore> PoolSimilarities(
+      const matrix::RatingMatrix& matrix, matrix::UserId user,
+      std::span<const std::uint32_t> clusters, double epsilon) const;
 
   /// Eq. 9 for an arbitrary sparse profile (used to fold a brand-new user
   /// into an existing model without re-clustering).
@@ -113,20 +132,29 @@ class ClusterModel {
                     std::uint32_t cluster) const;
 
   /// Structural validation sweep against the matrix the model was built
-  /// from: matching shape, assignment/size totals, a finite C×Q deviation
-  /// table, user means equal to the matrix's bit for bit, the has-rating
-  /// table equal to "some member rated i" recomputed from the CSR, and
+  /// from: matching shape, member lists that partition the users by
+  /// assignment in ascending order, a rater index whose offsets are
+  /// monotone and total the matrix's nnz and whose every segment lists,
+  /// ascending, exactly its cluster's raters of its item, a finite C×Q
+  /// deviation table, user means equal to the matrix's bit for bit, and
   /// iCluster lists covering every cluster once in descending Eq. 9 order
   /// with affinities in [-1, 1].  Throws util::InvariantError on violation.
   void DebugValidate(const matrix::RatingMatrix& matrix) const;
 
  private:
+  // Segment (item, cluster) of the rater index.
+  std::span<const std::uint32_t> Raters(matrix::ItemId item,
+                                        std::uint32_t cluster) const;
+
   std::size_t num_clusters_ = 0;
-  std::vector<std::uint32_t> assignments_;
-  std::vector<std::size_t> cluster_sizes_;
-  matrix::DenseMatrix deviations_;            // num_clusters × Q (Eq. 8 + fallback)
-  std::vector<std::uint8_t> has_rating_;      // num_clusters × Q
-  std::vector<double> user_means_;            // r̄_u
+  std::vector<std::uint32_t> assignments_;     // P
+  std::vector<std::uint32_t> member_offsets_;  // C + 1
+  std::vector<matrix::UserId> members_;        // P, cluster-major, ascending
+  std::vector<std::uint32_t> local_of_;        // P: index in its member list
+  std::vector<std::uint32_t> rater_offsets_;   // Q·C + 1, item-major
+  std::vector<std::uint32_t> rater_positions_; // nnz: positions in ItemCol(i)
+  matrix::DenseMatrix deviations_;             // C × Q (Eq. 8 + fallback)
+  std::vector<double> user_means_;             // r̄_u
   std::vector<std::vector<ClusterAffinity>> icluster_;
 };
 

@@ -276,12 +276,6 @@ void CfsfModel::Fit(const matrix::RatingMatrix& train) {
                                            config_.deviation_shrinkage,
                                            &profiler);
 
-  cluster_members_.assign(kconfig.num_clusters, {});
-  for (std::size_t u = 0; u < train_.num_users(); ++u) {
-    cluster_members_[kmeans.assignments[u]].push_back(
-        static_cast<matrix::UserId>(u));
-  }
-
   latest_timestamp_ = 0;
   if (train_.has_timestamps()) {
     for (std::size_t u = 0; u < train_.num_users(); ++u) {
@@ -331,11 +325,6 @@ std::unique_ptr<CfsfModel> CfsfModel::Restore(
   model->clusters_ = cluster::ClusterModel::Build(
       model->train_, assignments, num_clusters, config.parallel,
       config.deviation_shrinkage);
-  model->cluster_members_.assign(num_clusters, {});
-  for (std::size_t u = 0; u < model->train_.num_users(); ++u) {
-    model->cluster_members_[assignments[u]].push_back(
-        static_cast<matrix::UserId>(u));
-  }
   model->latest_timestamp_ = 0;
   if (model->train_.has_timestamps()) {
     for (std::size_t u = 0; u < model->train_.num_users(); ++u) {
@@ -354,32 +343,32 @@ std::unique_ptr<CfsfModel> CfsfModel::Restore(
 }
 
 std::vector<SelectedUser> CfsfModel::ComputeTopKUsers(matrix::UserId user) const {
-  // Section IV-E2: walk the iCluster order, pooling candidate users until
-  // the pool can support the top-K selection, then rank by Eq. 10.  Scores
-  // never decide membership, so the pool is fixed first and scored in one
-  // pass (whole clusters join it, so consecutive candidates share a
-  // deviation row).
+  // Section IV-E2: walk the iCluster order, pooling whole clusters until
+  // the pool can support the top-K selection, then rank by Eq. 10.
+  // Scores never decide membership, so the pool is fixed first and scored
+  // in one pass over the pool clusters' rater segments.
   const std::size_t want_pool =
       std::max<std::size_t>(config_.top_k_users,
                             config_.top_k_users * config_.candidate_pool_factor);
-  std::vector<matrix::UserId> pool;
-  pool.reserve(want_pool + 64);
+  const std::uint32_t own_cluster = clusters_.ClusterOf(user);
+  std::vector<std::uint32_t> pool_clusters;
+  pool_clusters.reserve(clusters_.num_clusters());
+  std::size_t pool_size = 0;  // candidates, the active user excluded
   for (const auto& affinity : clusters_.IClusterOf(user)) {
-    for (const auto candidate : cluster_members_[affinity.cluster]) {
-      if (candidate != user) pool.push_back(candidate);
-    }
-    if (pool.size() >= want_pool) break;
+    pool_clusters.push_back(affinity.cluster);
+    pool_size += clusters_.Members(affinity.cluster).size() -
+                 (affinity.cluster == own_cluster ? 1 : 0);
+    if (pool_size >= want_pool) break;
   }
-  CfsfMetrics::Get().topk_pool_size.Record(static_cast<double>(pool.size()));
+  CfsfMetrics::Get().topk_pool_size.Record(static_cast<double>(pool_size));
 
-  const auto similarities = clusters_.PoolSimilarities(
-      train_, train_.UserRow(user), train_.UserMean(user), pool,
-      config_.epsilon);
+  // The active user's own entry reads 0, so the `> 0` filter drops it.
   std::vector<SelectedUser> scored;
-  scored.reserve(pool.size());
-  for (std::size_t s = 0; s < pool.size(); ++s) {
-    if (similarities[s] > 0.0) {
-      scored.push_back(SelectedUser{pool[s], similarities[s]});
+  scored.reserve(pool_size);
+  for (const auto& candidate : clusters_.PoolSimilarities(
+           train_, user, pool_clusters, config_.epsilon)) {
+    if (candidate.similarity > 0.0) {
+      scored.push_back(SelectedUser{candidate.user, candidate.similarity});
     }
   }
 
@@ -391,8 +380,8 @@ std::vector<SelectedUser> CfsfModel::ComputeTopKUsers(matrix::UserId user) const
                       }
                       return a.user < b.user;
                     });
-  scored.resize(k);
-  return scored;
+  // Exactly k entries: the cache keeps this list, not the pool.
+  return {scored.begin(), scored.begin() + k};
 }
 
 std::shared_ptr<const std::vector<SelectedUser>> CfsfModel::TopKUsersCached(
@@ -732,10 +721,6 @@ matrix::UserId CfsfModel::AddUser(
                                            clusters_.num_clusters(),
                                            config_.parallel,
                                            config_.deviation_shrinkage);
-  cluster_members_.assign(clusters_.num_clusters(), {});
-  for (std::size_t u = 0; u < train_.num_users(); ++u) {
-    cluster_members_[assignments[u]].push_back(static_cast<matrix::UserId>(u));
-  }
 
   // Refresh the GIS rows of every item the newcomer rated.
   std::vector<matrix::ItemId> touched;

@@ -176,7 +176,6 @@ class CfsfModel : public eval::Predictor, public eval::DegradableModel {
   matrix::RatingMatrix train_;
   sim::GlobalItemSimilarity gis_;
   cluster::ClusterModel clusters_;
-  std::vector<std::vector<matrix::UserId>> cluster_members_;
   matrix::Timestamp latest_timestamp_ = 0;
 
   // Per-user neighbour cache ("caching intermediate results", Fig. 5).

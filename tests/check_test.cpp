@@ -212,6 +212,29 @@ TEST(ClusterModelValidate, DetectsStaleUserMeans) {
   EXPECT_THROW(model.DebugValidate(changed), util::InvariantError);
 }
 
+TEST(ClusterModelValidate, DetectsMovedRating) {
+  // Same shape, same ratings count and the same values per user: one
+  // rating moved to an item its user had not rated.  Only the rater
+  // index still describes the old column layout.
+  const auto matrix = data::GenerateSynthetic(SmallWorld());
+  cluster::KMeansConfig kconfig;
+  kconfig.num_clusters = 4;
+  const auto kmeans = cluster::RunKMeans(matrix, kconfig);
+  const auto model =
+      cluster::ClusterModel::Build(matrix, kmeans.assignments, 4);
+  const auto from = matrix.UserRow(0).front().index;
+  matrix::ItemId to = 0;
+  while (matrix.HasRating(0, to)) ++to;
+  matrix::RatingMatrixBuilder moved(matrix.num_users(), matrix.num_items());
+  for (auto t : matrix.ToTriples()) {
+    if (t.user == 0 && t.item == from) t.item = to;
+    moved.Add(t);
+  }
+  const auto other = moved.Build();
+  ASSERT_EQ(other.num_ratings(), matrix.num_ratings());
+  EXPECT_THROW(model.DebugValidate(other), util::InvariantError);
+}
+
 // --- End-to-end: a fitted CFSF model validates everywhere ---------------
 
 TEST(ModelValidate, FittedModelPassesAllSweeps) {

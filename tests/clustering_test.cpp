@@ -144,6 +144,40 @@ TEST(KMeans, CentroidCellsAreClusterMeans) {
   EXPECT_NEAR(result.centroids(camp_a, 3), 1.0, 1e-12);
 }
 
+TEST(KMeans, OnePassKernelEqualsUserCentroidPccBitForBit) {
+  data::SyntheticConfig dconfig;
+  dconfig.num_users = 120;
+  dconfig.num_items = 80;
+  dconfig.min_ratings_per_user = 8;
+  dconfig.log_mean = 2.8;
+  const auto m = data::GenerateSynthetic(dconfig);
+  KMeansConfig config;
+  config.num_clusters = 7;
+  const auto result = RunKMeans(m, config);
+  // The run's centroids plus a constant one, whose zero spread takes the
+  // kernel's denom == 0 branch.
+  const std::size_t num_c = config.num_clusters + 1;
+  matrix::DenseMatrix by_item(m.num_items(), num_c, 3.0);
+  std::vector<double> means(result.centroid_means);
+  means.push_back(3.0);
+  for (std::size_t i = 0; i < m.num_items(); ++i) {
+    for (std::size_t c = 0; c + 1 < num_c; ++c) {
+      by_item(i, c) = result.centroids(c, i);
+    }
+  }
+  std::vector<double> similarity(num_c);
+  std::vector<double> scratch(num_c);
+  for (matrix::UserId u = 0; u < m.num_users(); ++u) {
+    UserCentroidPccs(m, u, by_item, means, similarity, scratch);
+    for (std::size_t c = 0; c < num_c; ++c) {
+      std::vector<double> centroid(m.num_items());
+      for (std::size_t i = 0; i < m.num_items(); ++i) centroid[i] = by_item(i, c);
+      EXPECT_EQ(similarity[c], UserCentroidPcc(m, u, centroid, means[c]))
+          << "user " << u << " cluster " << c;
+    }
+  }
+}
+
 // ------------------------------------------------------- cluster model ----
 
 ClusterModel TwoCampModel(const matrix::RatingMatrix& m) {
@@ -334,40 +368,106 @@ TEST(ClusterModel, ParallelMatchesSerial) {
   }
 }
 
-TEST(ClusterModel, PoolSimilaritiesEqualThePairwiseKernel) {
+// Checks PoolSimilarities(active, clusters) entry by entry against the
+// clusters' Members lists and the pairwise Eq. 10 kernel, with the active
+// user's own entry reading 0.
+void ExpectPoolMatchesPairwise(const matrix::RatingMatrix& m,
+                               const ClusterModel& model,
+                               matrix::UserId active,
+                               const std::vector<std::uint32_t>& clusters) {
+  for (const double eps : {0.0, 0.35, 1.0}) {
+    const auto got = model.PoolSimilarities(m, active, clusters, eps);
+    std::size_t s = 0;
+    for (const auto c : clusters) {
+      for (const auto candidate : model.Members(c)) {
+        ASSERT_LT(s, got.size());
+        const double want =
+            candidate == active
+                ? 0.0
+                : sim::SmoothingAwarePcc(
+                      m.UserRow(active), m.UserMean(active),
+                      m.UserRow(candidate), model.DeviationRow(c),
+                      model.UserMean(candidate), eps);
+        EXPECT_EQ(got[s].user, candidate);
+        EXPECT_EQ(got[s].similarity, want) << "active " << active
+                                           << " candidate " << candidate
+                                           << " eps " << eps;
+        ++s;
+      }
+    }
+    EXPECT_EQ(got.size(), s);
+  }
+}
+
+matrix::RatingMatrix PoolMatrix() {
   data::SyntheticConfig dconfig;
   dconfig.num_users = 50;
   dconfig.num_items = 70;
   dconfig.min_ratings_per_user = 8;
   dconfig.log_mean = 2.8;
-  const auto m = data::GenerateSynthetic(dconfig);
+  return data::GenerateSynthetic(dconfig);
+}
+
+TEST(ClusterModel, PoolSimilaritiesEqualThePairwiseKernel) {
+  const auto m = PoolMatrix();
   KMeansConfig config;
   config.num_clusters = 5;
   const auto kmeans = RunKMeans(m, config);
   const auto model = ClusterModel::Build(m, kmeans.assignments, 5);
-  // Every other user in id order: clusters interleave, so runs of one
-  // cluster are short.
   for (matrix::UserId active = 0; active < 6; ++active) {
-    std::vector<matrix::UserId> pool;
-    for (matrix::UserId u = 0; u < m.num_users(); ++u) {
-      if (u != active) pool.push_back(u);
+    // The active user inside a pool cluster: their iCluster prefix, with
+    // their own cluster added when the prefix misses it.
+    std::vector<std::uint32_t> clusters;
+    for (const auto& a : model.IClusterOf(active)) {
+      if (clusters.size() < 2) clusters.push_back(a.cluster);
     }
-    for (const double eps : {0.0, 0.35, 1.0}) {
-      const auto got = model.PoolSimilarities(m, m.UserRow(active),
-                                              m.UserMean(active), pool, eps);
-      ASSERT_EQ(got.size(), pool.size());
-      for (std::size_t s = 0; s < pool.size(); ++s) {
-        const double want = sim::SmoothingAwarePcc(
-            m.UserRow(active), m.UserMean(active), m.UserRow(pool[s]),
-            model.DeviationRow(model.ClusterOf(pool[s])),
-            model.UserMean(pool[s]), eps);
-        EXPECT_EQ(got[s], want) << "active " << active << " candidate "
-                                << pool[s] << " eps " << eps;
-      }
+    const auto own = model.ClusterOf(active);
+    if (std::find(clusters.begin(), clusters.end(), own) == clusters.end()) {
+      clusters.push_back(own);
     }
+    ExpectPoolMatchesPairwise(m, model, active, clusters);
+
+    // The active user outside every pool cluster.
+    std::vector<std::uint32_t> others;
+    for (std::uint32_t c = 0; c < 5; ++c) {
+      if (c != own) others.push_back(c);
+    }
+    ExpectPoolMatchesPairwise(m, model, active, others);
   }
-  EXPECT_THROW(model.PoolSimilarities(m, m.UserRow(0), m.UserMean(0), {}, 1.5),
+  EXPECT_THROW(model.PoolSimilarities(m, 0, std::vector<std::uint32_t>{0}, 1.5),
                util::ConfigError);
+}
+
+TEST(ClusterModel, PoolSimilaritiesFullScanCoversEveryUser) {
+  const auto m = PoolMatrix();
+  KMeansConfig config;
+  config.num_clusters = 5;
+  const auto kmeans = RunKMeans(m, config);
+  const auto model = ClusterModel::Build(m, kmeans.assignments, 5);
+  const std::vector<std::uint32_t> all{0, 1, 2, 3, 4};
+  for (matrix::UserId active = 0; active < m.num_users(); active += 7) {
+    ExpectPoolMatchesPairwise(m, model, active, all);
+    EXPECT_EQ(model.PoolSimilarities(m, active, all, 0.35).size(),
+              m.num_users());
+  }
+}
+
+TEST(ClusterModel, PoolSimilaritiesSingletonClusterOfTheActiveUser) {
+  const auto m = PoolMatrix();
+  // User 9 alone in cluster 2; everyone else split over clusters 0 and 1.
+  std::vector<std::uint32_t> assignments(m.num_users());
+  for (std::size_t u = 0; u < m.num_users(); ++u) {
+    assignments[u] = static_cast<std::uint32_t>(u % 2);
+  }
+  assignments[9] = 2;
+  const auto model = ClusterModel::Build(m, assignments, 3);
+  ASSERT_EQ(model.Members(2).size(), 1u);
+  const auto alone = model.PoolSimilarities(m, 9, std::vector<std::uint32_t>{2}, 0.35);
+  ASSERT_EQ(alone.size(), 1u);
+  EXPECT_EQ(alone[0].user, 9u);
+  EXPECT_EQ(alone[0].similarity, 0.0);
+  ExpectPoolMatchesPairwise(m, model, 9, {2, 0});
+  ExpectPoolMatchesPairwise(m, model, 9, {1, 2, 0});
 }
 
 TEST(ClusterModel, ValidatesInputs) {

@@ -2,7 +2,8 @@
 // PredictDetailed (fused, SIR′, SUR′, SUIR′), SelectTopKUsers for every
 // user and RecommendTopN for a few users, for fixed synthetic shapes and
 // a set of configs that between them reach every Eq. 7 cell branch
-// (original rating, r̄_u + Δr_{C,i} fill, time-decayed original).  The
+// (original rating, r̄_u + Δr_{C,i} fill, time-decayed original), and the
+// offline K-means (assignments, centroid cells, iterations).  The
 // expected values were recorded from the dense-smoothed-matrix
 // implementation; any change to how cells are stored or read must keep
 // them, and a deliberate change to the estimators must re-record them.
@@ -15,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "clustering/kmeans.hpp"
 #include "core/cfsf.hpp"
 #include "util/logging.hpp"
 
@@ -73,17 +75,21 @@ struct Hashes {
   std::uint64_t sir_only;
 };
 
-Hashes Compute(const GoldenCase& c) {
+matrix::RatingMatrix GoldenMatrix(std::size_t users, std::size_t items) {
   util::SetLogLevel(util::LogLevel::kWarn);
   data::SyntheticConfig data_config;
-  data_config.num_users = c.users;
-  data_config.num_items = c.items;
-  if (c.items < 200) {
+  data_config.num_users = users;
+  data_config.num_items = items;
+  if (items < 200) {
     data_config.min_ratings_per_user = 12;
     data_config.log_mean = 3.0;
-    data_config.max_ratings_per_user = c.items / 2;
+    data_config.max_ratings_per_user = items / 2;
   }
-  const auto train = data::GenerateSynthetic(data_config);
+  return data::GenerateSynthetic(data_config);
+}
+
+Hashes Compute(const GoldenCase& c) {
+  const auto train = GoldenMatrix(c.users, c.items);
 
   CfsfConfig config;
   if (c.users < 200) {
@@ -182,6 +188,53 @@ constexpr GoldenCase kCases[] = {
 // clang-format on
 
 INSTANTIATE_TEST_SUITE_P(Shapes, Golden, ::testing::ValuesIn(kCases),
+                         [](const auto& info) { return std::string(info.param.name); });
+
+// The offline K-means of Section IV-C at the two golden shapes, with the
+// cluster counts CfsfModel::Fit uses there: every assignment, the exact
+// bits of every centroid cell, and the iteration count.
+struct KMeansGolden {
+  const char* name;
+  std::size_t users;
+  std::size_t items;
+  std::size_t clusters;
+  std::uint64_t assignments;
+  std::uint64_t centroids;
+  std::size_t iterations;
+};
+
+void PrintTo(const KMeansGolden& c, std::ostream* os) { *os << c.name; }
+
+class GoldenKMeans : public ::testing::TestWithParam<KMeansGolden> {};
+
+TEST_P(GoldenKMeans, BitsMatchRecordedValues) {
+  const auto& c = GetParam();
+  const auto train = GoldenMatrix(c.users, c.items);
+  cluster::KMeansConfig config;
+  config.num_clusters = c.clusters;
+  for (const bool parallel : {true, false}) {
+    config.parallel = parallel;
+    const auto result = cluster::RunKMeans(train, config);
+    Fnv1a assignments;
+    for (const auto a : result.assignments) assignments.U32(a);
+    Fnv1a centroids;
+    for (std::size_t k = 0; k < c.clusters; ++k) {
+      for (const double cell : result.centroids.Row(k)) centroids.Double(cell);
+    }
+    EXPECT_EQ(assignments.value(), c.assignments) << std::hex << assignments.value();
+    EXPECT_EQ(centroids.value(), c.centroids) << std::hex << centroids.value();
+    EXPECT_EQ(result.iterations, c.iterations);
+  }
+}
+
+// clang-format off
+constexpr KMeansGolden kKMeansCases[] = {
+    {"Paper500x1000_C30", 500, 1000, 30, 0xc2ef605754a3ce55ULL, 0xc50d644dcc0c564bULL, 4},
+    {"Small150x90_C8",    150,   90,  8, 0xf3e7fd6ec5e6dd90ULL, 0x1188baa49cd18b4cULL, 5},
+};
+// clang-format on
+
+INSTANTIATE_TEST_SUITE_P(Shapes, GoldenKMeans, ::testing::ValuesIn(kKMeansCases),
                          [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace

@@ -19,6 +19,8 @@
 #include <thread>
 #include <vector>
 
+#include "clustering/kmeans.hpp"
+#include "clustering/smoothing.hpp"
 #include "core/cfsf_model.hpp"
 #include "data/synthetic.hpp"
 #include "obs/metrics.hpp"
@@ -225,6 +227,65 @@ TEST(GisStress, ConcurrentBuildsAndRefreshEqualTheSerialBuild) {
   a.join();
   b.join();
   refresher.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(ClusterStress, ConcurrentKMeansAndPoolScoringEqualSerial) {
+  // Two threads run parallel K-means on the shared pool (per-chunk
+  // centroid scratch) while two more score pools of alternating size on
+  // one ClusterModel (per-thread scorer scratch that grows and shrinks);
+  // every result must equal the serial one bit for bit.
+  data::SyntheticConfig data_config;
+  data_config.num_users = 150;
+  data_config.num_items = 200;
+  const auto m = data::GenerateSynthetic(data_config);
+  cluster::KMeansConfig kconfig;
+  kconfig.num_clusters = 6;
+  kconfig.parallel = false;
+  const auto kmeans_oracle = cluster::RunKMeans(m, kconfig);
+  kconfig.parallel = true;
+  const auto model = cluster::ClusterModel::Build(m, kmeans_oracle.assignments, 6);
+  const std::vector<std::uint32_t> all{0, 1, 2, 3, 4, 5};
+  const std::vector<std::uint32_t> two{4, 1};
+  const auto score = [&](matrix::UserId u) {
+    return model.PoolSimilarities(m, u, u % 2 == 0 ? all : two, 0.35);
+  };
+  std::vector<std::vector<cluster::PoolScore>> pool_oracle;
+  for (matrix::UserId u = 0; u < 40; ++u) pool_oracle.push_back(score(u));
+
+  constexpr int kRounds = 4;
+  std::atomic<int> mismatches{0};
+  auto clusterer = [&] {
+    for (int r = 0; r < kRounds; ++r) {
+      const auto got = cluster::RunKMeans(m, kconfig);
+      if (got.assignments != kmeans_oracle.assignments ||
+          got.centroid_means != kmeans_oracle.centroid_means) {
+        mismatches.fetch_add(1);
+      }
+    }
+  };
+  auto scorer = [&] {
+    for (int r = 0; r < kRounds; ++r) {
+      for (matrix::UserId u = 0; u < 40; ++u) {
+        const auto got = score(u);
+        const auto& want = pool_oracle[u];
+        bool same = got.size() == want.size();
+        for (std::size_t k = 0; same && k < got.size(); ++k) {
+          same = got[k].user == want[k].user &&
+                 got[k].similarity == want[k].similarity;
+        }
+        if (!same) mismatches.fetch_add(1);
+      }
+    }
+  };
+  std::thread a(clusterer);
+  std::thread b(clusterer);
+  std::thread c(scorer);
+  std::thread d(scorer);
+  a.join();
+  b.join();
+  c.join();
+  d.join();
   EXPECT_EQ(mismatches.load(), 0);
 }
 

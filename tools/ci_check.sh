@@ -40,7 +40,9 @@
 #      tools/cfsf_lint_allow.txt.  cppcheck runs non-advisory too when
 #      present.  Both skip with a notice when the tool is absent.
 #   8. bench smoke                                 : one CI-sized sweep must
-#      emit a BENCH_smoke.json that parses and carries latency percentiles,
+#      emit a BENCH_smoke.json that parses and carries latency percentiles;
+#      one iteration of every micro_kernels top-K selection and K-means
+#      case (large-scale and user-count arguments included) must run;
 #      plus a corrupted-bundle check: verify-model must reject a bit flip
 #      with a nonzero (but clean) exit
 #
@@ -283,7 +285,8 @@ fi
 if [[ "${RUN_BENCH}" -eq 1 ]]; then
   echo "=== bench smoke (BENCH_smoke.json) ==="
   cmake --preset release -S "${ROOT}"
-  cmake --build --preset release -j "${JOBS}" --target fig2_sweep_m cfsf_cli
+  cmake --build --preset release -j "${JOBS}" \
+    --target fig2_sweep_m cfsf_cli micro_kernels
   SMOKE_JSON="${ROOT}/build/release/BENCH_smoke.json"
   "${ROOT}/build/release/bench/fig2_sweep_m" --smoke --json="${SMOKE_JSON}" \
     > /dev/null
@@ -293,6 +296,14 @@ if [[ "${RUN_BENCH}" -eq 1 ]]; then
   grep -q '"p95"' "${SMOKE_JSON}" || {
     echo "ci_check: BENCH_smoke.json lacks latency percentiles" >&2; exit 1;
   }
+
+
+  echo "=== micro-benchmark smoke (micro_kernels) ==="
+  # min_time 0 = one iteration per case: keeps the 4000x2000 and
+  # 16000-user arguments compiling and running without timing them.
+  "${ROOT}/build/release/bench/micro_kernels" \
+    --benchmark_filter='BM_SelectTopKUsers|BM_KMeans' \
+    --benchmark_min_time=0 > /dev/null
 
   echo "=== corrupted-bundle check (verify-model) ==="
   CLI="${ROOT}/build/release/tools/cfsf_cli"
