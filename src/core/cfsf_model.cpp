@@ -190,24 +190,15 @@ class CfsfModel::CallCells {
       scratch_.rated.resize(num_rows * q_, 0);
       scratch_.positions.resize(num_rows * q_);
     }
+    std::uint8_t* const rated = scratch_.rated.data();
+    std::uint32_t* const positions = scratch_.positions.data();
     rows_.reserve(num_rows);
     entries_.reserve(num_rows);
-    for (std::size_t r = 0; r < num_rows; ++r) {
-      const auto user = r == 0 ? active : neighbors[r - 1].user;
-      rows_.push_back(MakeCellRow<false>(train, clusters, user,
-                                         scratch_.rated.data() + r * q_,
-                                         scratch_.positions.data() + r * q_));
-      entries_.push_back(train.UserRow(user));
-    }
-    // Nothing below throws, so the destructor zeroes whatever is set.
-    for (std::size_t r = 0; r < num_rows; ++r) {
-      std::uint8_t* rated = scratch_.rated.data() + r * q_;
-      std::uint32_t* positions = scratch_.positions.data() + r * q_;
-      const auto entries = entries_[r];
-      for (std::size_t k = 0; k < entries.size(); ++k) {
-        rated[entries[k].index] = 1;
-        positions[entries[k].index] = static_cast<std::uint32_t>(k + 1);
-      }
+    // Nothing below throws (push_back stays within the reserved
+    // capacity), so the destructor zeroes whatever is set.
+    AddRow(train, clusters, active, rated, positions);
+    for (const auto& n : neighbors) {
+      AddRow(train, clusters, n.user, rated, positions);
     }
     call_cells_live = true;
   }
@@ -225,6 +216,22 @@ class CfsfModel::CallCells {
   Row row(std::size_t r) const { return rows_[r]; }
 
  private:
+  // Appends `user` as the next row: scatters its flags and positions
+  // into that row's slice of the scratch and records its cells.
+  void AddRow(const matrix::RatingMatrix& train,
+              const cluster::ClusterModel& clusters, matrix::UserId user,
+              std::uint8_t* rated, std::uint32_t* positions) {
+    const std::size_t offset = rows_.size() * q_;
+    const auto entries = train.UserRow(user);
+    for (std::size_t k = 0; k < entries.size(); ++k) {
+      rated[offset + entries[k].index] = 1;
+      positions[offset + entries[k].index] = static_cast<std::uint32_t>(k + 1);
+    }
+    rows_.push_back(MakeCellRow<false>(train, clusters, user, rated + offset,
+                                       positions + offset));
+    entries_.push_back(entries);
+  }
+
   struct Scratch {
     std::vector<std::uint8_t> rated;       // rows × Q, all-zero between calls
     std::vector<std::uint32_t> positions;  // rows × Q

@@ -28,7 +28,6 @@
 #include "clustering/smoothing.hpp"
 #include "core/cfsf_config.hpp"
 #include "eval/predictor.hpp"
-#include "eval/degradable.hpp"
 #include "similarity/item_similarity.hpp"
 #include "util/attrs.hpp"
 #include "util/mutex.hpp"
@@ -50,7 +49,7 @@ struct SelectedUser {
   double similarity = 0.0;
 };
 
-class CfsfModel : public eval::Predictor, public eval::DegradableModel {
+class CfsfModel : public eval::Predictor {
  public:
   explicit CfsfModel(const CfsfConfig& config = {});
 
@@ -79,26 +78,14 @@ class CfsfModel : public eval::Predictor, public eval::DegradableModel {
 
   /// SIR′ alone, straight off the GIS row (Eq. 12, first line) — no top-K
   /// user selection, so it skips the expensive online step entirely.
-  /// This is the degraded serving path (robust::FallbackPredictor rung 1)
-  /// and works regardless of config.use_sir.  nullopt when the active
-  /// user has no evidence on the item's top-M similar items.
+  /// This is the degraded serving path (robust::Ladder rung 1) and works
+  /// regardless of config.use_sir.  nullopt when the active user has no
+  /// evidence on the item's top-M similar items.
   std::optional<double> PredictSirOnly(matrix::UserId user,
                                        matrix::ItemId item) const;
 
-  // eval::DegradableModel — the graceful-degradation ladder's view.
-  std::size_t NumUsers() const override { return train_.num_users(); }
-  std::size_t NumItems() const override { return train_.num_items(); }
-  double PredictFull(matrix::UserId user, matrix::ItemId item) const override {
-    return Predict(user, item);
-  }
-  std::optional<double> PredictDegraded(matrix::UserId user,
-                                        matrix::ItemId item) const override {
-    return PredictSirOnly(user, item);
-  }
-  double UserMeanOf(matrix::UserId user) const override {
-    return train_.UserMean(user);
-  }
-  double GlobalMeanOf() const override { return train_.GlobalMean(); }
+  std::size_t NumUsers() const { return train_.num_users(); }
+  std::size_t NumItems() const { return train_.num_items(); }
 
   /// Batch prediction, parallelised over distinct users (each worker
   /// selects that user's top-K once and reuses it for all their items).

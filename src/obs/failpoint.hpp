@@ -11,7 +11,7 @@
 // Tests and CI arm points through the API or the CFSF_FAILPOINTS
 // environment variable; an armed point that trips throws InjectedFault
 // (an util::IoError), which the regular error paths — LoadModelWithRetry,
-// ThreadPool::Wait, robust::FallbackPredictor — must survive.
+// ThreadPool::Wait, robust::Ladder — must survive.
 //
 // Trigger grammar (one per point):
 //   always        trip on every evaluation

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 
+#include "core/cfsf_model.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
+#include "util/error.hpp"
 
 namespace cfsf::robust {
 
@@ -31,27 +33,14 @@ struct LadderMetrics {
   }
 };
 
+// Every rung answers on the rating scale.
+double Clamp(double value) { return std::clamp(value, 1.0, 5.0); }
+
 }  // namespace
 
-double FallbackPredictor::Clamp(double value) const {
-  if (options_.clamp_lo > options_.clamp_hi) return value;
-  return std::clamp(value, options_.clamp_lo, options_.clamp_hi);
-}
-
-LadderResult FallbackPredictor::PredictWithLadder(matrix::UserId user,
-                                                 matrix::ItemId item,
-                                                 Deadline deadline,
-                                                 PredictionRung floor) const {
-  if (options_.policy == DegradationPolicy::kThrow) {
-    // No ladder: surface overruns and faults to the caller unchanged.
-    if (deadline.Expired()) {
-      LadderMetrics::Get().deadline_overruns.Increment();
-      throw DeadlineExceeded("prediction deadline expired before rung 0");
-    }
-    return LadderResult{Clamp(model_.PredictFull(user, item)),
-                        PredictionRung::kFull, false};
-  }
-
+LadderResult Ladder::PredictWithLadder(matrix::UserId user,
+                                       matrix::ItemId item, Deadline deadline,
+                                       PredictionRung floor) const {
   const auto& metrics = LadderMetrics::Get();
   LadderResult result;
   const bool in_domain =
@@ -64,7 +53,7 @@ LadderResult FallbackPredictor::PredictWithLadder(matrix::UserId user,
         result.deadline_overrun = true;
       } else {
         try {
-          result.value = Clamp(model_.PredictFull(user, item));
+          result.value = Clamp(model_.Predict(user, item));
           result.rung = PredictionRung::kFull;
           return result;
         } catch (const util::Error&) {
@@ -75,12 +64,10 @@ LadderResult FallbackPredictor::PredictWithLadder(matrix::UserId user,
     // Rung 1: SIR′-only — no top-K selection, just the GIS row.
     if (floor <= PredictionRung::kSir) {
       if (deadline.Expired()) {
-        if (!result.deadline_overrun) {
-          result.deadline_overrun = true;
-        }
+        result.deadline_overrun = true;
       } else {
         try {
-          if (const auto sir = model_.PredictDegraded(user, item)) {
+          if (const auto sir = model_.PredictSirOnly(user, item)) {
             if (result.deadline_overrun) metrics.deadline_overruns.Increment();
             metrics.fallback_sir.Increment();
             result.value = Clamp(*sir);
@@ -100,48 +87,23 @@ LadderResult FallbackPredictor::PredictWithLadder(matrix::UserId user,
   // answers.
   if (user < model_.NumUsers() && floor <= PredictionRung::kUserMean) {
     metrics.fallback_user_mean.Increment();
-    result.value = Clamp(model_.UserMeanOf(user));
+    result.value = Clamp(model_.train().UserMean(user));
     result.rung = PredictionRung::kUserMean;
   } else {
     metrics.fallback_global_mean.Increment();
-    result.value = Clamp(model_.GlobalMeanOf());
+    result.value = Clamp(model_.train().GlobalMean());
     result.rung = PredictionRung::kGlobalMean;
   }
   return result;
 }
 
-double FallbackPredictor::Predict(matrix::UserId user,
-                                  matrix::ItemId item) const {
-  const Deadline deadline = options_.budget.count() > 0
-                                ? Deadline::After(options_.budget)
-                                : Deadline();
-  return PredictWithLadder(user, item, deadline).value;
-}
-
-std::vector<LadderResult> FallbackPredictor::PredictBatchWithLadder(
+std::vector<LadderResult> Ladder::PredictBatchWithLadder(
     std::span<const std::pair<matrix::UserId, matrix::ItemId>> queries,
     Deadline batch_deadline, PredictionRung floor) const {
   std::vector<LadderResult> out;
   out.reserve(queries.size());
   for (const auto& [user, item] : queries) {
-    const Deadline per_call = options_.budget.count() > 0
-                                  ? Deadline::After(options_.budget)
-                                  : Deadline();
-    out.push_back(PredictWithLadder(
-        user, item, Deadline::EarlierOf(per_call, batch_deadline), floor));
-  }
-  return out;
-}
-
-std::vector<double> FallbackPredictor::PredictBatch(
-    std::span<const std::pair<matrix::UserId, matrix::ItemId>> queries) const {
-  const Deadline batch_deadline = options_.batch_budget.count() > 0
-                                      ? Deadline::After(options_.batch_budget)
-                                      : Deadline();
-  std::vector<double> out;
-  out.reserve(queries.size());
-  for (const auto& result : PredictBatchWithLadder(queries, batch_deadline)) {
-    out.push_back(result.value);
+    out.push_back(PredictWithLadder(user, item, batch_deadline, floor));
   }
   return out;
 }

@@ -16,13 +16,10 @@
 //
 // A per-call Deadline (steady-clock budget) is checked between rungs:
 // once the budget is spent, the remaining expensive rungs are skipped
-// and the call resolves from the mean rungs.  Batch prediction threads
-// one shared Deadline through every query on top of the per-call
-// budgets (FallbackOptions::batch_budget / PredictBatchWithLadder), so
-// a batch stops descending tiers as soon as its budget is spent instead
-// of burning a fresh budget per query.  DegradationPolicy::kThrow
-// turns the ladder off — faults and deadline overruns surface to the
-// caller as exceptions (today's behaviour); kFallback degrades instead.
+// and the call resolves from the mean rungs.  A batch threads one shared
+// Deadline through every query, so it stops descending tiers as soon as
+// its budget is spent instead of burning a fresh budget per query.
+// Every rung's answer is clamped into the rating scale [1, 5].
 //
 // Every degradation is counted in the process-wide MetricsRegistry:
 //   robust.fallback.sir / robust.fallback.user_mean /
@@ -30,102 +27,99 @@
 #pragma once
 
 #include <chrono>
-#include <cstdint>
-#include <optional>
-#include <string>
+#include <span>
+#include <utility>
+#include <vector>
 
-#include "eval/degradable.hpp"
-#include "eval/predictor.hpp"
 #include "matrix/types.hpp"
 #include "util/attrs.hpp"
-#include "util/error.hpp"
+
+namespace cfsf::core {
+class CfsfModel;
+}  // namespace cfsf::core
 
 namespace cfsf::robust {
 
-// The deadline/rung vocabulary and the DegradableModel interface live in
-// eval/degradable.hpp (one layer down) so core::CfsfModel can implement
-// them without depending on this layer.  Re-exported here so ladder and
-// serving code reads in its own namespace.
-using eval::Deadline;
-using eval::DeadlineExceeded;
-using eval::DegradableModel;
-using eval::DegradationPolicy;
-using eval::LadderResult;
-using eval::PredictionRung;
-using eval::ToString;
+/// A steady-clock budget for one call.  Default-constructed deadlines are
+/// unlimited; After(0) is already expired.
+class Deadline {
+ public:
+  Deadline() = default;  // unlimited
 
-struct FallbackOptions {
-  DegradationPolicy policy = DegradationPolicy::kFallback;
-  /// Per-call budget; zero = unlimited.
-  std::chrono::microseconds budget{0};
-  /// Whole-batch budget for PredictBatch; zero = unlimited.  The batch
-  /// shares one Deadline: once it expires, the remaining queries stop
-  /// descending through the expensive rungs and resolve from the mean
-  /// rungs (each query still also honours the per-call `budget`).
-  std::chrono::microseconds batch_budget{0};
-  /// Every rung's output is clamped into [clamp_lo, clamp_hi] (the
-  /// rating scale); set clamp_lo > clamp_hi to disable.
-  double clamp_lo = 1.0;
-  double clamp_hi = 5.0;
+  static Deadline After(std::chrono::microseconds budget) {
+    Deadline d;
+    d.limited_ = true;
+    d.at_ = std::chrono::steady_clock::now() + budget;
+    return d;
+  }
+
+  bool unlimited() const { return !limited_; }
+
+  bool Expired() const {
+    return limited_ && std::chrono::steady_clock::now() >= at_;
+  }
+
+  /// The tighter of two deadlines (whichever expires first wins).
+  static Deadline EarlierOf(Deadline a, Deadline b) {
+    if (a.unlimited()) return b;
+    if (b.unlimited()) return a;
+    return a.at_ <= b.at_ ? a : b;
+  }
+
+ private:
+  bool limited_ = false;
+  std::chrono::steady_clock::time_point at_{};
 };
 
-/// Serving wrapper: a Predictor whose Predict never throws under
-/// kFallback (given a fitted model) and never exceeds its budget by more
-/// than one rung's work.  Stateless apart from the wrapped model, so one
-/// instance may serve concurrent callers.
-class FallbackPredictor : public eval::Predictor {
+/// Which rung produced the answer.
+enum class PredictionRung { kFull, kSir, kUserMean, kGlobalMean };
+
+inline const char* ToString(PredictionRung rung) {
+  switch (rung) {
+    case PredictionRung::kFull: return "full";
+    case PredictionRung::kSir: return "sir";
+    case PredictionRung::kUserMean: return "user_mean";
+    case PredictionRung::kGlobalMean: return "global_mean";
+  }
+  return "unknown";
+}
+
+struct LadderResult {
+  double value = 0.0;
+  PredictionRung rung = PredictionRung::kFull;
+  /// True when at least one rung was skipped because the deadline had
+  /// expired (also counted in robust.deadline_overruns).
+  bool deadline_overrun = false;
+};
+
+/// The ladder over one fitted model.  Never throws given a fitted model
+/// and never exceeds its deadline by more than one rung's work.  Holds
+/// only a reference, so it is cheap to copy and one instance may serve
+/// concurrent callers.
+class Ladder {
  public:
-  /// `model` must implement both eval::Predictor (Fit forwarding) and
-  /// DegradableModel (the ladder) — core::CfsfModel does.
-  template <typename Model>
-  explicit FallbackPredictor(Model& model, FallbackOptions options = {})
-      : base_(model), model_(model), options_(options) {}
+  explicit Ladder(const core::CfsfModel& model) : model_(model) {}
 
-  std::string Name() const override { return "CFSF+Fallback"; }
-
-  void Fit(const matrix::RatingMatrix& train) override { base_.Fit(train); }
-
-  /// Ladder prediction under the configured per-call budget.
-  double Predict(matrix::UserId user, matrix::ItemId item) const
-      CFSF_HOT_PATH override;
-
-  /// Serial ladder loop.  Each query gets its own per-call budget AND
-  /// shares the batch-wide deadline derived from `batch_budget` — once
-  /// the batch budget is spent, the remaining queries skip the expensive
-  /// rungs instead of each burning a fresh budget.  (The wrapped model's
-  /// parallel batch path does not apply per-query deadlines, so the
-  /// wrapper deliberately trades batch throughput for bounded
-  /// per-query behaviour.)
-  std::vector<double> PredictBatch(
-      std::span<const std::pair<matrix::UserId, matrix::ItemId>> queries)
-      const CFSF_HOT_PATH override;
-
-  /// The full ladder with an explicit deadline, for callers that manage
-  /// budgets themselves.  `floor` is the best rung the call may serve
-  /// from — the serving stack's circuit breaker passes kSir/kUserMean/
-  /// kGlobalMean to pin a degraded tier.  Honoured under kFallback;
-  /// kThrow always attempts rung 0.
+  /// One query down the ladder.  `floor` is the best rung the call may
+  /// serve from — the serving stack's circuit breaker passes kSir/
+  /// kUserMean/kGlobalMean to pin a degraded tier.
   LadderResult PredictWithLadder(matrix::UserId user, matrix::ItemId item,
                                  Deadline deadline,
                                  PredictionRung floor =
                                      PredictionRung::kFull) const
       CFSF_HOT_PATH;
 
-  /// Batch ladder under one shared deadline (plus each query's per-call
-  /// budget); the serving stack's deadline-propagation path.
+  /// Serial ladder loop under one shared deadline; the serving stack's
+  /// deadline-propagation path.  (The model's parallel batch path does
+  /// not apply per-query deadlines, so the ladder deliberately trades
+  /// batch throughput for bounded per-query behaviour.)
   std::vector<LadderResult> PredictBatchWithLadder(
       std::span<const std::pair<matrix::UserId, matrix::ItemId>> queries,
       Deadline batch_deadline,
       PredictionRung floor = PredictionRung::kFull) const CFSF_HOT_PATH;
 
-  const FallbackOptions& options() const { return options_; }
-
  private:
-  double Clamp(double value) const;
-
-  eval::Predictor& base_;
-  const DegradableModel& model_;
-  FallbackOptions options_;
+  const core::CfsfModel& model_;
 };
 
 }  // namespace cfsf::robust

@@ -46,16 +46,8 @@ CircuitBreaker::CircuitBreaker(const CircuitBreakerOptions& options)
   CFSF_REQUIRE(options.window > 0, "CircuitBreaker: window must be positive");
   CFSF_REQUIRE(options.min_samples > 0 && options.min_samples <= options.window,
                "CircuitBreaker: min_samples must be in [1, window]");
-  CFSF_REQUIRE(options.trip_threshold > 0.0 && options.trip_threshold <= 1.0,
-               "CircuitBreaker: trip_threshold must be in (0, 1]");
   CFSF_REQUIRE(options.probe_count > 0,
                "CircuitBreaker: probe_count must be positive");
-  CFSF_REQUIRE(options.probe_success_threshold > 0.0 &&
-                   options.probe_success_threshold <= 1.0,
-               "CircuitBreaker: probe_success_threshold must be in (0, 1]");
-  CFSF_REQUIRE(options.max_level <= 3,
-               "CircuitBreaker: max_level beyond global mean (3) is"
-               " meaningless");
   util::MutexLock lock(&mutex_);
   window_.assign(options_.window, false);
 }
@@ -68,7 +60,7 @@ void CircuitBreaker::ClearWindowLocked() {
 }
 
 void CircuitBreaker::TripLocked() {
-  level_ = std::min(level_ + 1, options_.max_level);
+  level_ = std::min(level_ + 1, kMaxLevel);
   state_ = BreakerState::kOpen;
   opened_at_ = std::chrono::steady_clock::now();
   ++epoch_;
@@ -110,7 +102,7 @@ void CircuitBreaker::Record(const BreakerPlan& plan, std::size_t served_level,
     const double good_fraction =
         static_cast<double>(probes_good_) /
         static_cast<double>(probes_good_ + probes_bad_);
-    if (good_fraction >= options_.probe_success_threshold) {
+    if (good_fraction >= kProbeSuccessThreshold) {
       // The better tier works: recover one level.  Still degraded?
       // Re-open so the next cooldown probes the following tier up.
       level_ = plan.level;
@@ -147,8 +139,8 @@ void CircuitBreaker::Record(const BreakerPlan& plan, std::size_t served_level,
   if (window_filled_ < options_.min_samples) return;
   const double bad_fraction = static_cast<double>(window_bad_) /
                               static_cast<double>(window_filled_);
-  if (bad_fraction >= options_.trip_threshold &&
-      (level_ < options_.max_level || state_ == BreakerState::kClosed)) {
+  if (bad_fraction >= kTripThreshold &&
+      (level_ < kMaxLevel || state_ == BreakerState::kClosed)) {
     TripLocked();
   }
 }

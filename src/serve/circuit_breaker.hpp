@@ -2,11 +2,11 @@
 // stack down a tier under sustained failure, and climbs back up through
 // probe requests.
 //
-// Unlike robust::FallbackPredictor, which degrades ONE call after its
-// rungs already failed, the breaker watches the aggregate outcome stream
-// and moves the default tier for EVERY subsequent request, so a sick
-// dependency (a corrupt model section, an armed failpoint storm, a
-// saturated machine) stops burning a full-fusion attempt per query.
+// Unlike robust::Ladder, which degrades ONE call after its rungs already
+// failed, the breaker watches the aggregate outcome stream and moves the
+// default tier for EVERY subsequent request, so a sick dependency (a
+// corrupt model section, an armed failpoint storm, a saturated machine)
+// stops burning a full-fusion attempt per query.
 //
 // Tiers map onto the ladder's rungs:
 //
@@ -16,14 +16,15 @@
 // State machine (per-tier, classic closed/open/half-open):
 //
 //   kClosed   serve at `level`; a sliding window of outcomes is scored —
-//             bad_fraction >= trip_threshold over >= min_samples trips
-//             the breaker one tier down (level+1) and opens it.
+//             bad_fraction >= kTripThreshold over >= min_samples trips
+//             the breaker one tier down (level+1, at most kMaxLevel) and
+//             opens it.
 //   kOpen     serve at `level`, no scoring; after `cooldown` the next
 //             Admit() half-opens.  Trips can still fire from kOpen if
 //             the degraded tier itself keeps failing.
 //   kHalfOpen the next `probe_count` requests are *probes* served one
 //             tier up (level-1); the rest stay at `level`.  When all
-//             probes report: success fraction >= probe_success_threshold
+//             probes report: success fraction >= kProbeSuccessThreshold
 //             recovers one tier (level-1, back to kClosed — or kOpen
 //             again if still above tier 0, so the next cooldown probes
 //             the following tier); otherwise the breaker re-opens at the
@@ -52,19 +53,13 @@ struct CircuitBreakerOptions {
   std::size_t window = 64;
   /// Minimum outcomes in the window before a trip can fire.
   std::size_t min_samples = 16;
-  /// Bad fraction at or above which the breaker trips a tier down.
-  double trip_threshold = 0.5;
   /// How long an open breaker serves degraded before probing again.
   std::chrono::milliseconds cooldown{25};
   /// Probe requests issued per half-open episode.
   std::size_t probe_count = 4;
-  /// Probe success fraction needed to recover a tier.
-  double probe_success_threshold = 0.75;
-  /// Deepest tier the breaker may trip to (3 = global mean).
-  std::size_t max_level = 3;
 };
 
-/// One admission decision: serve this request at `level` (0..max_level);
+/// One admission decision: serve this request at `level` (0..kMaxLevel);
 /// `probe` marks a half-open probe running one tier better than the
 /// breaker's current level.  `epoch` ties the outcome back to the state
 /// the plan was made under, so stale results of a superseded episode
@@ -78,6 +73,13 @@ struct BreakerPlan {
 /// Thread-safe; one instance is shared by every worker in a ServingStack.
 class CircuitBreaker {
  public:
+  /// Bad fraction at or above which the breaker trips a tier down.
+  static constexpr double kTripThreshold = 0.5;
+  /// Probe success fraction needed to recover a tier.
+  static constexpr double kProbeSuccessThreshold = 0.75;
+  /// Deepest tier the breaker may trip to (the global mean).
+  static constexpr std::size_t kMaxLevel = 3;
+
   explicit CircuitBreaker(const CircuitBreakerOptions& options = {});
 
   /// Plans one request.  Handles the open->half-open transition on the

@@ -33,8 +33,8 @@ std::uint64_t ModelGeneration::SwapIn(std::unique_ptr<core::CfsfModel> model) {
   {
     util::MutexLock lock(&mutex_);
     generation = next_generation_++;
-    active_ = std::make_shared<const ServableModel>(
-        std::move(model), ladder_options_, generation);
+    active_ = std::make_shared<const ServableModel>(std::move(model),
+                                                    generation);
   }
   SwapMetrics::Get().swaps.Increment();
   SwapMetrics::Get().generation.Set(static_cast<double>(generation));

@@ -9,7 +9,7 @@
 // takes the lock, and in-flight requests keep the generation they
 // grabbed alive through shared ownership until the last one drains.
 //
-//   swap thread:  VerifyModel → LoadModelWithRetry → build ladder → swap
+//   swap thread:  VerifyModel → LoadModelWithRetry → swap
 //   request path: Active() — one shared_ptr copy under a short lock
 //
 // A failed load (corrupt bundle, injected fault after retries) leaves
@@ -29,35 +29,26 @@
 
 namespace cfsf::serve {
 
-/// One immutable generation: the fitted model plus the degradation
-/// ladder wrapped around it.  Requests hold it by shared_ptr, so a
-/// generation outlives its replacement until the last request finishes.
+/// One immutable generation: the fitted model the degradation ladder
+/// runs over.  Requests hold it by shared_ptr, so a generation outlives
+/// its replacement until the last request finishes.
 class ServableModel {
  public:
   ServableModel(std::unique_ptr<core::CfsfModel> model,
-                const robust::FallbackOptions& ladder_options,
                 std::uint64_t generation)
-      : model_(std::move(model)),
-        ladder_(*model_, ladder_options),
-        generation_(generation) {}
+      : model_(std::move(model)), generation_(generation) {}
 
-  const robust::FallbackPredictor& ladder() const { return ladder_; }
+  robust::Ladder ladder() const { return robust::Ladder(*model_); }
   const core::CfsfModel& model() const { return *model_; }
   std::uint64_t generation() const { return generation_; }
 
  private:
-  std::unique_ptr<core::CfsfModel> model_;  // declared before ladder_: the
-                                            // ladder references *model_
-  robust::FallbackPredictor ladder_;
+  std::unique_ptr<core::CfsfModel> model_;
   std::uint64_t generation_;
 };
 
 class ModelGeneration {
  public:
-  /// `ladder_options` applies to every generation's FallbackPredictor.
-  explicit ModelGeneration(const robust::FallbackOptions& ladder_options = {})
-      : ladder_options_(ladder_options) {}
-
   /// Installs an already-fitted in-memory model (tests, first boot from
   /// a fit in the same process).  Returns the new generation id.
   std::uint64_t Install(std::unique_ptr<core::CfsfModel> model)
@@ -82,7 +73,6 @@ class ModelGeneration {
   std::uint64_t SwapIn(std::unique_ptr<core::CfsfModel> model)
       CFSF_EXCLUDES(mutex_);
 
-  const robust::FallbackOptions ladder_options_;
   mutable util::Mutex mutex_;
   std::shared_ptr<const ServableModel> active_ CFSF_GUARDED_BY(mutex_);
   std::uint64_t next_generation_ CFSF_GUARDED_BY(mutex_) = 1;

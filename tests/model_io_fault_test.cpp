@@ -249,10 +249,10 @@ TEST_F(ModelIoFaultTest, LoadWithRetryGivesUpAfterMaxAttempts) {
 
 // ----------------------------------------------- armed end-to-end ----
 
-// The PR's acceptance run: Evaluate over the ML_300/Given10 protocol
-// with prob: failpoints armed and the fallback ladder in front — must
-// finish with zero uncaught exceptions and nonzero fallback counters,
-// and must reproduce the undegraded MAE exactly once disarmed.
+// End to end: the ladder's MAE over the ML_300/Given10 protocol with
+// prob: failpoints armed must finish with zero uncaught exceptions and
+// nonzero fallback counters, and must reproduce the undegraded MAE
+// exactly when disarmed.
 TEST_F(ModelIoFaultTest, ArmedEvaluateDegradesButCompletes) {
   data::SyntheticConfig dconfig;
   dconfig.num_users = 350;
@@ -269,13 +269,28 @@ TEST_F(ModelIoFaultTest, ArmedEvaluateDegradesButCompletes) {
   config.top_m_items = 30;
   config.top_k_users = 10;
   core::CfsfModel model(config);
-  robust::FallbackPredictor ladder(model);
+  const auto bare = eval::Evaluate(model, split);  // fits the model
 
-  // Disarmed, the ladder is a transparent wrapper: same MAE as the bare
-  // model (Table II unchanged).
-  const auto bare = eval::Evaluate(model, split);
-  const auto disarmed = eval::Evaluate(ladder, split);
-  EXPECT_DOUBLE_EQ(disarmed.mae, bare.mae);
+  // The ladder's MAE over the withheld ratings.
+  std::vector<std::pair<matrix::UserId, matrix::ItemId>> queries;
+  std::vector<double> actual;
+  for (const auto& t : split.test) {
+    queries.emplace_back(t.user, t.item);
+    actual.push_back(t.actual);
+  }
+  const robust::Ladder ladder(model);
+  const auto ladder_mae = [&] {
+    std::vector<double> predicted;
+    for (const auto& result :
+         ladder.PredictBatchWithLadder(queries, robust::Deadline())) {
+      predicted.push_back(result.value);
+    }
+    return eval::Mae(predicted, actual);
+  };
+
+  // Disarmed, the ladder is transparent: same MAE as the bare model
+  // (Table II unchanged).
+  EXPECT_EQ(ladder_mae(), bare.mae);
 
   auto& registry = obs::MetricsRegistry::Global();
   const auto fallbacks_before =
@@ -288,10 +303,10 @@ TEST_F(ModelIoFaultTest, ArmedEvaluateDegradesButCompletes) {
   FailPointRegistry::Global().SetSeed(2009);
   ScopedFailPoint full("cfsf.predict", "prob:0.05");
   ScopedFailPoint sir("cfsf.predict.sir", "prob:0.3");
-  const auto armed = eval::Evaluate(ladder, split);  // must not throw
-  EXPECT_TRUE(std::isfinite(armed.mae));
-  EXPECT_GT(armed.num_predictions, 0u);
-  EXPECT_LT(armed.mae, 2.0) << "degraded rungs should still be sane";
+  const double armed_mae = ladder_mae();  // must not throw
+  EXPECT_TRUE(std::isfinite(armed_mae));
+  EXPECT_GT(queries.size(), 0u);
+  EXPECT_LT(armed_mae, 2.0) << "degraded rungs should still be sane";
 
   EXPECT_GT(FailPointRegistry::Global().TripCount("cfsf.predict"), 0u);
   if (obs::MetricsEnabled()) {

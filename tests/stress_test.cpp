@@ -489,7 +489,7 @@ TEST_F(ModelStress, ConcurrentReadPathsMatchSerialAnswers) {
   }
 }
 
-// Many threads hammer one shared FallbackPredictor while prob:
+// Many threads hammer one shared robust::Ladder while prob:
 // failpoints randomly blow up the full and SIR′ rungs underneath them.
 // Every call must still produce a finite in-range value (the ladder is
 // total), and the registry's counter updates must stay race-free.
@@ -499,7 +499,7 @@ TEST_F(ModelStress, FallbackLadderIsTotalUnderConcurrentFaults) {
   registry.SetSeed(1234);
   obs::ScopedFailPoint full("cfsf.predict", "prob:0.3");
   obs::ScopedFailPoint sir("cfsf.predict.sir", "prob:0.3");
-  robust::FallbackPredictor ladder(*model_);
+  const robust::Ladder ladder(*model_);
 
   constexpr int kThreads = 4;
   std::atomic<int> bad{0};
@@ -510,7 +510,9 @@ TEST_F(ModelStress, FallbackLadderIsTotalUnderConcurrentFaults) {
       for (int round = 0; round < 20; ++round) {
         for (matrix::UserId u = static_cast<matrix::UserId>(t); u < 60;
              u += kThreads) {
-          const double v = ladder.Predict(u, (u + round) % 100);
+          const double v =
+              ladder.PredictWithLadder(u, (u + round) % 100, robust::Deadline())
+                  .value;
           if (!std::isfinite(v) || v < 1.0 || v > 5.0) bad.fetch_add(1);
         }
       }

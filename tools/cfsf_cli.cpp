@@ -4,7 +4,7 @@
 //   cfsf_cli stats     --data=u.data
 //   cfsf_cli fit       --data=u.data --model=model.bin [--clusters=30
 //                      --m=95 --k=25 --lambda=0.8 --delta=0.1 --w=0.35]
-//   cfsf_cli predict   --model=model.bin --user=U --item=I
+//   cfsf_cli predict   --model=model.bin --user=U --item=I [--deadline-ms=N]
 //   cfsf_cli recommend --model=model.bin --user=U [--n=10]
 //   cfsf_cli add-user  --model=model.bin --ratings=ITEM:R,ITEM:R,...
 //                      [--save=model2.bin] [--n=10]
@@ -29,16 +29,15 @@
 // (counters, gauges, latency histograms) is dumped to stdout as JSON.
 //
 // Robustness flags: commands that read --data accept --lenient (skip and
-// count malformed dataset lines instead of failing); `predict` and
-// `evaluate` accept --deadline-ms=N and --degradation=<throw|fallback>
-// to serve through robust::FallbackPredictor's degradation ladder.
+// count malformed dataset lines instead of failing); `predict` accepts
+// --deadline-ms=N to answer through robust::Ladder under that budget and
+// print the rung that answered.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <exception>
 #include <filesystem>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -88,29 +87,6 @@ matrix::RatingMatrix LoadData(util::ArgParser& args) {
                  loaded.quarantined_lines, path.c_str());
   }
   return loaded.matrix;
-}
-
-// --deadline-ms / --degradation: nullopt when neither flag is present
-// (serve through the model directly, today's behaviour).
-std::optional<robust::FallbackOptions> FallbackFromFlags(
-    util::ArgParser& args) {
-  const auto deadline_ms = args.GetInt("deadline-ms", 0);
-  const std::string degradation = args.GetString("degradation", "");
-  if (deadline_ms <= 0 && degradation.empty()) return std::nullopt;
-  robust::FallbackOptions options;
-  if (degradation == "throw") {
-    options.policy = robust::DegradationPolicy::kThrow;
-  } else if (degradation.empty() || degradation == "fallback") {
-    options.policy = robust::DegradationPolicy::kFallback;
-  } else {
-    throw util::ConfigError("--degradation must be 'throw' or 'fallback', got '" +
-                            degradation + "'");
-  }
-  if (deadline_ms > 0) {
-    options.budget = std::chrono::duration_cast<std::chrono::microseconds>(
-        std::chrono::milliseconds(deadline_ms));
-  }
-  return options;
 }
 
 core::CfsfConfig ConfigFromFlags(util::ArgParser& args) {
@@ -169,15 +145,13 @@ int CmdPredict(util::ArgParser& args) {
   const std::string model_path = args.GetString("model", "model.bin");
   const auto user = static_cast<matrix::UserId>(args.GetInt("user", 0));
   const auto item = static_cast<matrix::ItemId>(args.GetInt("item", 0));
-  const auto fallback = FallbackFromFlags(args);
+  const auto deadline_ms = args.GetInt("deadline-ms", 0);
   args.RejectUnknown();
   const auto model = core::LoadModel(model_path);
-  if (fallback) {
-    robust::FallbackPredictor predictor(*model, *fallback);
-    const auto deadline = fallback->budget.count() > 0
-                              ? robust::Deadline::After(fallback->budget)
-                              : robust::Deadline();
-    const auto result = predictor.PredictWithLadder(user, item, deadline);
+  if (deadline_ms > 0) {
+    const auto result = robust::Ladder(*model).PredictWithLadder(
+        user, item,
+        robust::Deadline::After(std::chrono::milliseconds(deadline_ms)));
     std::printf("user %u, item %u -> %.3f (rung %s%s)\n", user, item,
                 result.value, robust::ToString(result.rung),
                 result.deadline_overrun ? ", deadline overrun" : "");
@@ -251,7 +225,6 @@ int CmdEvaluate(util::ArgParser& args) {
   const auto test = static_cast<std::size_t>(args.GetInt("test", 200));
   const auto given = static_cast<std::size_t>(args.GetInt("given", 10));
   const auto holdout = static_cast<std::size_t>(args.GetInt("holdout", 1));
-  const auto fallback = FallbackFromFlags(args);
   args.RejectUnknown();
 
   data::EvalSplit split;
@@ -276,12 +249,7 @@ int CmdEvaluate(util::ArgParser& args) {
     return 2;
   }
   core::CfsfModel model(config);
-  robust::FallbackPredictor ladder(model, fallback.value_or(
-                                              robust::FallbackOptions{}));
-  eval::Predictor& predictor =
-      fallback ? static_cast<eval::Predictor&>(ladder)
-               : static_cast<eval::Predictor&>(model);
-  const auto result = eval::Evaluate(predictor, split);
+  const auto result = eval::Evaluate(model, split);
   std::printf("%s/%s: MAE %.4f, RMSE %.4f (%zu predictions; fit %.2fs, "
               "predict %.2fs)\n",
               data::TrainSetLabel(train).c_str(), label.c_str(), result.mae,

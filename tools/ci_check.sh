@@ -43,8 +43,9 @@
 #      emit a BENCH_smoke.json that parses and carries latency percentiles;
 #      one iteration of every micro_kernels top-K selection and K-means
 #      case (large-scale and user-count arguments included) must run;
-#      plus a corrupted-bundle check: verify-model must reject a bit flip
-#      with a nonzero (but clean) exit
+#      the service benchmark (perfbench/) must compile against the
+#      library; plus a corrupted-bundle check: verify-model must reject a
+#      bit flip with a nonzero (but clean) exit
 #
 # Any sanitizer report fails the corresponding test (UBSan is built
 # non-recoverable, TSan runs with halt_on_error=1), so a zero exit here
@@ -304,6 +305,15 @@ if [[ "${RUN_BENCH}" -eq 1 ]]; then
   "${ROOT}/build/release/bench/micro_kernels" \
     --benchmark_filter='BM_SelectTopKUsers|BM_KMeans' \
     --benchmark_min_time=0 > /dev/null
+
+  echo "=== service benchmark compile (perfbench) ==="
+  # perfbench/ includes robust/fallback.hpp and calls
+  # serve::ServableModel::ladder(); building it here makes a library
+  # change that breaks the benchmark's compile fail this tier.
+  cmake -S "${ROOT}/perfbench" -B "${ROOT}/build/perfbench" \
+    -DCMAKE_BUILD_TYPE=Release
+  cmake --build "${ROOT}/build/perfbench" --target cfsf_perfbench \
+    -j "${JOBS}"
 
   echo "=== corrupted-bundle check (verify-model) ==="
   CLI="${ROOT}/build/release/tools/cfsf_cli"
