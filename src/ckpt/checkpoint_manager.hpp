@@ -2,12 +2,15 @@
 // compaction.
 //
 // The write half of bounded-replay restart (ROADMAP open item 3): a
-// checkpoint persists the DeltaFolder's {shadow model, fold watermark}
-// pair so the next boot folds only the WAL suffix past the watermark
-// instead of replaying history from record zero.  One checkpoint is:
+// checkpoint persists the DeltaFolder's {model generation, fold
+// watermark} pair so the next boot folds only the WAL suffix past the
+// watermark instead of replaying history from record zero.  One
+// checkpoint is:
 //
-//   1. snapshot    folder.SnapshotShadow() — clone + watermark under
-//                  one lock, so the pair is consistent by construction
+//   1. snapshot    folder.Snapshot() — the current generation (shared,
+//                  immutable, never copied) and its watermark under one
+//                  lock, so the pair is consistent by construction and
+//                  costs O(1); folds carry on while it is written
 //   2. bundle      core::SaveModel to ckpt-<id>.model (format v2:
 //                  CRC'd sections, tmp+rename) + directory fsync,
 //                  then a full VerifyModel read-back — a checkpoint

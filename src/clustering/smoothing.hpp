@@ -76,6 +76,9 @@ class ClusterModel {
 
   std::uint32_t ClusterOf(matrix::UserId user) const;
 
+  /// Every user's cluster, indexed by user id.
+  std::span<const std::uint32_t> assignments() const { return assignments_; }
+
   /// The users assigned to `cluster`, ascending.
   std::span<const matrix::UserId> Members(std::uint32_t cluster) const;
 

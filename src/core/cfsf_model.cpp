@@ -112,6 +112,20 @@ CellRow<kBySlot> MakeCellRow(const matrix::RatingMatrix& train,
 
 thread_local bool call_cells_live = false;
 
+// The newest rating timestamp in `train` (0 when untimed): the reference
+// point of the time-decay weights.
+matrix::Timestamp LatestTimestamp(const matrix::RatingMatrix& train) {
+  matrix::Timestamp latest = 0;
+  if (train.has_timestamps()) {
+    for (std::size_t u = 0; u < train.num_users(); ++u) {
+      for (const auto ts : train.UserRowTimestamps(static_cast<matrix::UserId>(u))) {
+        latest = std::max(latest, ts);
+      }
+    }
+  }
+  return latest;
+}
+
 }  // namespace
 
 // The paper's local matrix (Section IV-E) for one query: the cells of the
@@ -283,14 +297,7 @@ void CfsfModel::Fit(const matrix::RatingMatrix& train) {
                                            config_.deviation_shrinkage,
                                            &profiler);
 
-  latest_timestamp_ = 0;
-  if (train_.has_timestamps()) {
-    for (std::size_t u = 0; u < train_.num_users(); ++u) {
-      for (const auto ts : train_.UserRowTimestamps(static_cast<matrix::UserId>(u))) {
-        latest_timestamp_ = std::max(latest_timestamp_, ts);
-      }
-    }
-  }
+  latest_timestamp_ = LatestTimestamp(train_);
 
   {
     util::MutexLock lock(&cache_mutex_);
@@ -332,15 +339,7 @@ std::unique_ptr<CfsfModel> CfsfModel::Restore(
   model->clusters_ = cluster::ClusterModel::Build(
       model->train_, assignments, num_clusters, config.parallel,
       config.deviation_shrinkage);
-  model->latest_timestamp_ = 0;
-  if (model->train_.has_timestamps()) {
-    for (std::size_t u = 0; u < model->train_.num_users(); ++u) {
-      for (const auto ts :
-           model->train_.UserRowTimestamps(static_cast<matrix::UserId>(u))) {
-        model->latest_timestamp_ = std::max(model->latest_timestamp_, ts);
-      }
-    }
-  }
+  model->latest_timestamp_ = LatestTimestamp(model->train_);
   {
     util::MutexLock lock(&model->cache_mutex_);
     model->cache_.assign(model->train_.num_users(), nullptr);
@@ -660,29 +659,42 @@ std::vector<CfsfModel::Recommendation> CfsfModel::RecommendTopN(
   return all;
 }
 
-void CfsfModel::InsertRating(matrix::UserId user, matrix::ItemId item,
-                             matrix::Rating value, matrix::Timestamp timestamp) {
-  CFSF_REQUIRE(fitted_, "InsertRating before Fit");
-  CFSF_REQUIRE(user < train_.num_users() && item < train_.num_items(),
-               "InsertRating ids out of range");
-  train_ = train_.WithRating(user, item, value, timestamp);
-  latest_timestamp_ = std::max(latest_timestamp_, timestamp);
+std::unique_ptr<CfsfModel> CfsfModel::WithRatings(
+    std::span<const matrix::RatingTriple> ratings) const {
+  CFSF_REQUIRE(fitted_, "WithRatings before Fit");
+  auto next = std::make_unique<CfsfModel>(config_);
+  next->train_ = train_.WithRatings(ratings);
 
-  // Refresh the touched GIS row in place (future-work extension).
-  const matrix::ItemId touched[] = {item};
-  gis_.RefreshItems(train_, touched);
+  // Refresh the touched GIS rows (future-work extension); RefreshItems
+  // equals a rebuild when every changed item is listed.
+  std::vector<matrix::ItemId> touched;
+  touched.reserve(ratings.size());
+  for (const auto& rating : ratings) touched.push_back(rating.item);
+  next->gis_ = gis_;
+  next->gis_.RefreshItems(next->train_, touched);
 
   // Re-smooth with the existing cluster assignments; K-means itself is not
   // re-run (a full Fit() does that).
-  std::vector<std::uint32_t> assignments(train_.num_users());
-  for (std::size_t u = 0; u < train_.num_users(); ++u) {
-    assignments[u] = clusters_.ClusterOf(static_cast<matrix::UserId>(u));
+  next->clusters_ = cluster::ClusterModel::Build(
+      next->train_, clusters_.assignments(), clusters_.num_clusters(),
+      config_.parallel, config_.deviation_shrinkage);
+  next->latest_timestamp_ = LatestTimestamp(next->train_);
+  {
+    util::MutexLock lock(&next->cache_mutex_);
+    next->cache_.assign(next->train_.num_users(), nullptr);
   }
-  clusters_ = cluster::ClusterModel::Build(train_, assignments,
-                                           clusters_.num_clusters(),
-                                           config_.parallel,
-                                           config_.deviation_shrinkage);
+  next->fitted_ = true;
+  return next;
+}
 
+void CfsfModel::InsertRating(matrix::UserId user, matrix::ItemId item,
+                             matrix::Rating value, matrix::Timestamp timestamp) {
+  const matrix::RatingTriple rating{user, item, value, timestamp};
+  auto next = WithRatings({&rating, 1});
+  train_ = std::move(next->train_);
+  gis_ = std::move(next->gis_);
+  clusters_ = std::move(next->clusters_);
+  latest_timestamp_ = next->latest_timestamp_;
   ClearCache();
 }
 
@@ -719,11 +731,9 @@ matrix::UserId CfsfModel::AddUser(
     }
   }
 
-  std::vector<std::uint32_t> assignments(train_.num_users());
-  for (std::size_t u = 0; u + 1 < train_.num_users(); ++u) {
-    assignments[u] = clusters_.ClusterOf(static_cast<matrix::UserId>(u));
-  }
-  assignments[new_user] = best_cluster;
+  std::vector<std::uint32_t> assignments(clusters_.assignments().begin(),
+                                         clusters_.assignments().end());
+  assignments.push_back(best_cluster);
   clusters_ = cluster::ClusterModel::Build(train_, assignments,
                                            clusters_.num_clusters(),
                                            config_.parallel,

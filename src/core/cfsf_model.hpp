@@ -107,10 +107,20 @@ class CfsfModel : public eval::Predictor {
   /// tests/diagnostics.  Results are similarity-descending.
   std::vector<SelectedUser> SelectTopKUsers(matrix::UserId user) const;
 
-  /// Incremental update (future-work extension): inserts/overwrites one
-  /// rating, refreshes the affected GIS row, re-smooths with the existing
-  /// cluster assignments, and drops stale caches.  Cluster assignments are
-  /// *not* recomputed — call Fit() for a full refresh.
+  /// Incremental update (future-work extension), the one fold kernel:
+  /// the next model generation with `ratings` inserted (or overwritten;
+  /// of two ratings for one cell the later wins).  One matrix merge, one
+  /// GIS refresh of the touched items and one re-smoothing with the
+  /// existing cluster assignments; the top-K cache starts empty.  Cluster
+  /// assignments are *not* recomputed — call Fit() for a full refresh.
+  /// Equals Restore() on the merged matrix, a GIS rebuilt from it and the
+  /// same assignments, bit for bit.  This model is left untouched, so a
+  /// throw commits nothing.
+  std::unique_ptr<CfsfModel> WithRatings(
+      std::span<const matrix::RatingTriple> ratings) const;
+
+  /// WithRatings on one rating, in place (same guarantee: a throw leaves
+  /// the model as it was).
   void InsertRating(matrix::UserId user, matrix::ItemId item,
                     matrix::Rating value, matrix::Timestamp timestamp = 0);
 

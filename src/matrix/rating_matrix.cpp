@@ -36,60 +36,87 @@ void RatingMatrixBuilder::Add(const RatingTriple& triple) {
 }
 
 RatingMatrix RatingMatrixBuilder::Build() {
-  RatingMatrix matrix;
-  matrix.num_users_ = num_users_;
-  matrix.num_items_ = num_items_;
-  matrix.BuildIndexes(std::move(triples_));
-  matrix.ComputeMeans();
+  RatingMatrix empty;
+  empty.num_users_ = num_users_;
+  empty.num_items_ = num_items_;
+  empty.user_ptr_.assign(num_users_ + 1, 0);
+  RatingMatrix matrix = empty.Merged(std::move(triples_));
   triples_.clear();
   return matrix;
 }
 
-void RatingMatrix::BuildIndexes(std::vector<RatingTriple>&& triples) {
-  // Stable sort by (user, item); for duplicates the *last* added wins, so
-  // keep the final occurrence of each key.
-  std::stable_sort(triples.begin(), triples.end(),
+RatingMatrix RatingMatrix::Merged(std::vector<RatingTriple>&& delta) const {
+  // Stable sort by (user, item): of duplicate keys the *last* added is
+  // the last of its run, and it wins.
+  std::stable_sort(delta.begin(), delta.end(),
                    [](const RatingTriple& a, const RatingTriple& b) {
                      return a.user != b.user ? a.user < b.user : a.item < b.item;
                    });
-  std::vector<RatingTriple> unique;
-  unique.reserve(triples.size());
-  for (std::size_t i = 0; i < triples.size(); ++i) {
-    if (i + 1 < triples.size() && triples[i + 1].user == triples[i].user &&
-        triples[i + 1].item == triples[i].item) {
-      continue;  // superseded by a later duplicate
-    }
-    unique.push_back(triples[i]);
-  }
 
-  const bool any_timestamp =
-      std::any_of(unique.begin(), unique.end(),
+  RatingMatrix out;
+  out.num_users_ = num_users_;
+  out.num_items_ = num_items_;
+  // Timestamps are kept only when some kept rating carries one; they are
+  // gathered whenever one might, and dropped below if none survived.
+  const bool stamped = has_timestamps();
+  const bool gather_stamps =
+      stamped ||
+      std::any_of(delta.begin(), delta.end(),
                   [](const RatingTriple& t) { return t.timestamp != 0; });
+  const std::size_t capacity = user_entries_.size() + delta.size();
+  out.user_entries_.reserve(capacity);
+  if (gather_stamps) out.user_timestamps_.reserve(capacity);
+  bool any_timestamp = false;
+  const auto append = [&](Entry entry, Timestamp stamp) {
+    out.user_entries_.push_back(entry);
+    if (gather_stamps) {
+      out.user_timestamps_.push_back(stamp);
+      any_timestamp = any_timestamp || stamp != 0;
+    }
+  };
 
-  user_ptr_.assign(num_users_ + 1, 0);
-  user_entries_.clear();
-  user_entries_.reserve(unique.size());
-  if (any_timestamp) {
-    user_timestamps_.clear();
-    user_timestamps_.reserve(unique.size());
-  } else {
-    user_timestamps_.clear();
+  // CSR: one linear merge of each old row with its run of Δ.
+  out.user_ptr_.reserve(num_users_ + 1);
+  out.user_ptr_.push_back(0);
+  std::size_t d = 0;
+  for (std::size_t u = 0; u < num_users_; ++u) {
+    std::size_t k = user_ptr_[u];
+    const std::size_t end = user_ptr_[u + 1];
+    for (; d < delta.size() && delta[d].user == u; ++d) {
+      if (d + 1 < delta.size() && delta[d + 1].user == u &&
+          delta[d + 1].item == delta[d].item) {
+        continue;  // superseded by a later duplicate
+      }
+      const RatingTriple& t = delta[d];
+      for (; k < end && user_entries_[k].index < t.item; ++k) {
+        append(user_entries_[k], stamped ? user_timestamps_[k] : 0);
+      }
+      if (k < end && user_entries_[k].index == t.item) ++k;  // overwritten
+      append(Entry{t.item, t.value}, t.timestamp);
+    }
+    for (; k < end; ++k) {
+      append(user_entries_[k], stamped ? user_timestamps_[k] : 0);
+    }
+    out.user_ptr_.push_back(out.user_entries_.size());
   }
-  for (const auto& t : unique) ++user_ptr_[t.user + 1];
-  for (std::size_t u = 0; u < num_users_; ++u) user_ptr_[u + 1] += user_ptr_[u];
-  for (const auto& t : unique) {
-    user_entries_.push_back(Entry{t.item, t.value});
-    if (any_timestamp) user_timestamps_.push_back(t.timestamp);
-  }
+  if (!any_timestamp) out.user_timestamps_ = {};
 
+  out.BuildColumns();
+  out.ComputeMeans();
+  return out;
+}
+
+void RatingMatrix::BuildColumns() {
   // CSC: counting sort by item, preserving user order inside each column.
   item_ptr_.assign(num_items_ + 1, 0);
-  for (const auto& t : unique) ++item_ptr_[t.item + 1];
+  for (const auto& e : user_entries_) ++item_ptr_[e.index + 1];
   for (std::size_t i = 0; i < num_items_; ++i) item_ptr_[i + 1] += item_ptr_[i];
-  item_entries_.assign(unique.size(), Entry{});
+  item_entries_.assign(user_entries_.size(), Entry{});
   std::vector<std::size_t> cursor(item_ptr_.begin(), item_ptr_.end() - 1);
-  for (const auto& t : unique) {
-    item_entries_[cursor[t.item]++] = Entry{t.user, t.value};
+  for (std::size_t u = 0; u < num_users_; ++u) {
+    for (const auto& e : UserRow(static_cast<UserId>(u))) {
+      item_entries_[cursor[e.index]++] = Entry{static_cast<UserId>(u), e.value};
+    }
   }
 }
 
@@ -244,12 +271,21 @@ RatingMatrix RatingMatrix::KeepUserPrefix(std::size_t keep_users) const {
 
 RatingMatrix RatingMatrix::WithRating(UserId user, ItemId item, Rating value,
                                       Timestamp timestamp) const {
-  CFSF_REQUIRE(user < num_users_ && item < num_items_,
-               "WithRating ids out of range");
-  RatingMatrixBuilder builder(num_users_, num_items_);
-  for (const auto& t : ToTriples()) builder.Add(t);
-  builder.Add(user, item, value, timestamp);
-  return builder.Build();
+  const RatingTriple rating{user, item, value, timestamp};
+  return WithRatings({&rating, 1});
+}
+
+RatingMatrix RatingMatrix::WithRatings(std::span<const RatingTriple> ratings) const {
+  for (const auto& t : ratings) {
+    CFSF_REQUIRE(t.user < num_users_ && t.item < num_items_,
+                 "WithRatings ids out of range");
+    if (!std::isfinite(t.value)) {
+      throw util::DimensionError("non-finite rating for user " +
+                                 std::to_string(t.user) + ", item " +
+                                 std::to_string(t.item));
+    }
+  }
+  return Merged({ratings.begin(), ratings.end()});
 }
 
 }  // namespace cfsf::matrix

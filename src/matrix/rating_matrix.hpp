@@ -109,14 +109,25 @@ class RatingMatrix {
 
   /// Returns a copy with one extra rating inserted (or overwritten).  Used
   /// by the online protocol, which "inserts a record in the item-user
-  /// matrix" for each active user, and by the incremental-update extension.
+  /// matrix" for each active user.  WithRatings on one rating.
   RatingMatrix WithRating(UserId user, ItemId item, Rating value,
                           Timestamp timestamp = 0) const;
+
+  /// Returns a copy with `ratings` inserted (or overwritten); of two
+  /// ratings for one cell the later wins.  One linear merge of the rows
+  /// with the sorted batch, then the column index and the means — the
+  /// matrix a builder fed ToTriples() and then `ratings` would freeze,
+  /// bit for bit.  Throws util::ConfigError on an out-of-range id and
+  /// util::DimensionError on a non-finite value.
+  RatingMatrix WithRatings(std::span<const RatingTriple> ratings) const;
 
  private:
   friend class RatingMatrixBuilder;
 
-  void BuildIndexes(std::vector<RatingTriple>&& triples);
+  // This matrix with `delta` merged in; the one path by which every
+  // matrix is built (a builder merges into an empty matrix).
+  RatingMatrix Merged(std::vector<RatingTriple>&& delta) const;
+  void BuildColumns();
   void ComputeMeans();
 
   std::size_t num_users_ = 0;

@@ -59,13 +59,6 @@ class Deadline {
     return limited_ && std::chrono::steady_clock::now() >= at_;
   }
 
-  /// The tighter of two deadlines (whichever expires first wins).
-  static Deadline EarlierOf(Deadline a, Deadline b) {
-    if (a.unlimited()) return b;
-    if (b.unlimited()) return a;
-    return a.at_ <= b.at_ ? a : b;
-  }
-
  private:
   bool limited_ = false;
   std::chrono::steady_clock::time_point at_{};

@@ -1,6 +1,7 @@
 #include "serve/delta_folder.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -17,6 +18,7 @@ struct FoldMetrics {
   obs::Counter& folded;
   obs::Counter& skipped;
   obs::Counter& publishes;
+  obs::Counter& failures;
   obs::Gauge& staleness_us;
 
   static FoldMetrics& Instance() {
@@ -26,6 +28,7 @@ struct FoldMetrics {
           registry.GetCounter(obs::names::kWalFoldedRecords),
           registry.GetCounter(obs::names::kWalFoldSkipped),
           registry.GetCounter(obs::names::kWalFoldPublishes),
+          registry.GetCounter(obs::names::kWalFoldFailures),
           registry.GetGauge(obs::names::kWalStalenessUs),
       };
     }();
@@ -36,74 +39,82 @@ struct FoldMetrics {
 }  // namespace
 
 DeltaFolder::DeltaFolder(wal::WriteAheadLog& log, ModelGeneration& models,
-                         std::unique_ptr<core::CfsfModel> shadow,
+                         std::shared_ptr<const core::CfsfModel> model,
                          const DeltaFolderOptions& options)
-    : log_(log), models_(models), options_(options), shadow_(std::move(shadow)) {
-  CFSF_REQUIRE(shadow_ != nullptr, "DeltaFolder: shadow model required");
+    : log_(log), models_(models), options_(options), current_(std::move(model)) {
+  CFSF_REQUIRE(current_ != nullptr, "DeltaFolder: model required");
   util::MutexLock lock(&mutex_);
   watermark_ = options_.initial_watermark;
 }
 
 DeltaFolder::~DeltaFolder() { Stop(); }
 
-std::unique_ptr<core::CfsfModel> DeltaFolder::CloneShadowLocked() {
-  // Restore() rebuilds smoothing deterministically from the persisted
-  // artefacts, so a clone predicts identically to the shadow without
-  // re-running K-means or the GIS build.
-  std::vector<std::uint32_t> assignments(shadow_->NumUsers());
-  for (matrix::UserId user = 0; user < assignments.size(); ++user) {
-    assignments[user] = shadow_->cluster_model().ClusterOf(user);
-  }
-  return core::CfsfModel::Restore(shadow_->config(), shadow_->train(),
-                                  shadow_->gis(), std::move(assignments));
-}
-
 std::uint64_t DeltaFolder::PublishNow() {
-  std::unique_ptr<core::CfsfModel> clone;
-  {
-    util::MutexLock lock(&mutex_);
-    clone = CloneShadowLocked();
-    ++publishes_;
-  }
+  util::MutexLock lock(&mutex_);
+  ++publishes_;
   FoldMetrics::Instance().publishes.Increment();
-  return models_.Install(std::move(clone));
+  return models_.Install(current_);
 }
 
 std::size_t DeltaFolder::FoldOnce() {
-  std::vector<wal::AckedRecord> batch;
-  log_.DrainAcked(&batch);
-  if (batch.empty()) return 0;
-
   FoldMetrics& metrics = FoldMetrics::Instance();
-  std::unique_ptr<core::CfsfModel> clone;
+  // Declared before the lock, so the replaced generation is released
+  // after it: when nothing else pins that model, its destructor runs
+  // outside the folder mutex.
+  std::shared_ptr<const core::CfsfModel> replaced;
+  std::size_t drained = 0;
   std::size_t folded = 0;
-  std::size_t skipped = 0;
   std::uint64_t skipped_total = 0;
   bool warn_skipped = false;
-  auto oldest_ack = batch.front().acked_at;
+  std::chrono::steady_clock::time_point oldest_ack;
   {
     util::MutexLock lock(&mutex_);
-    for (const wal::AckedRecord& acked : batch) {
-      oldest_ack = std::min(oldest_ack, acked.acked_at);
-      const matrix::RatingTriple& r = acked.record;
-      if (r.user < shadow_->NumUsers() && r.item < shadow_->NumItems()) {
-        shadow_->InsertRating(r.user, r.item, r.value, r.timestamp);
-        ++folded;
-      } else {
+    // Drained under the folder mutex, so concurrent passes commit
+    // batches in lsn order.
+    log_.DrainAcked(&pending_);
+    if (pending_.empty()) return 0;
+
+    std::shared_ptr<const core::CfsfModel> next;
+    try {
+      std::vector<matrix::RatingTriple> in_range;
+      in_range.reserve(pending_.size());
+      for (const wal::AckedRecord& acked : pending_) {
+        const matrix::RatingTriple& r = acked.record;
         // Out-of-range ids are durable but not foldable; cold-start
         // enrolment (CfsfModel::AddUser) is a separate path.
-        ++skipped;
+        if (r.user < current_->NumUsers() && r.item < current_->NumItems()) {
+          in_range.push_back(r);
+        }
       }
+      folded = in_range.size();
+      if (folded > 0) next = current_->WithRatings(in_range);
+    } catch (...) {
+      // Nothing is committed: the records stay pending, ahead of
+      // whatever the next pass drains.
+      metrics.failures.Increment();
+      throw;
     }
+
+    // Commit the generation, the watermark and the counters together.
+    drained = pending_.size();
+    oldest_ack = pending_.front().acked_at;
+    for (const wal::AckedRecord& acked : pending_) {
+      oldest_ack = std::min(oldest_ack, acked.acked_at);
+    }
+    const std::size_t skipped = drained - folded;
     folded_ += folded;
     skipped_ += skipped;
     // Drained is drained: a skipped record is permanently unfoldable
-    // against this shadow, so the watermark advances over it — the
+    // against this model, so the watermark advances over it — the
     // backlog is surfaced below, not replayed forever.
-    watermark_ = std::max(watermark_, batch.back().lsn);
-    if (folded > 0) {
-      clone = CloneShadowLocked();
+    watermark_ = std::max(watermark_, pending_.back().lsn);
+    pending_.clear();
+    if (next != nullptr) {
+      replaced = std::exchange(current_, std::move(next));
       ++publishes_;
+      // Published under the folder mutex, so generations go live in
+      // fold order.
+      models_.Install(current_);
     }
     if (skipped > 0) {
       const auto now = std::chrono::steady_clock::now();
@@ -116,23 +127,22 @@ std::size_t DeltaFolder::FoldOnce() {
     }
   }
   metrics.folded.Increment(folded);
-  metrics.skipped.Increment(skipped);
+  metrics.skipped.Increment(drained - folded);
   if (warn_skipped) {
-    CFSF_LOG_WARN << "delta folder: " << skipped
-                  << " record(s) outside the shadow's dimensions this "
+    CFSF_LOG_WARN << "delta folder: " << drained - folded
+                  << " record(s) outside the model's dimensions this "
                      "batch ("
                   << skipped_total
                   << " total); they are durable but will never fold — "
                      "enrol the users/items or expect a stale backlog";
   }
-  if (clone != nullptr) {
-    models_.Install(std::move(clone));
+  if (replaced != nullptr) {  // a generation was published
     metrics.publishes.Increment();
     metrics.staleness_us.Set(std::chrono::duration<double, std::micro>(
                                  std::chrono::steady_clock::now() - oldest_ack)
                                  .count());
   }
-  return batch.size();
+  return drained;
 }
 
 void DeltaFolder::Start() {
@@ -164,18 +174,19 @@ void DeltaFolder::Loop() {
     }
     try {
       FoldOnce();
-    } catch (const util::Error&) {
-      // A fold failure (e.g. an injected fault inside InsertRating)
-      // must not kill the thread; the records of this batch are lost to
-      // the fold but remain in the log for the next boot's replay.
+    } catch (const std::exception&) {
+      // A fold failure (an injected fault, a failed check, an
+      // allocation failure) must not kill the thread.  It is counted in
+      // wal.fold.failures and committed nothing; the batch stays
+      // pending and is folded first on the next pass.
     }
     util::SleepFor(options_.poll_interval);
   }
 }
 
-ShadowSnapshot DeltaFolder::SnapshotShadow() {
+FoldSnapshot DeltaFolder::Snapshot() const {
   util::MutexLock lock(&mutex_);
-  return ShadowSnapshot{CloneShadowLocked(), watermark_};
+  return FoldSnapshot{current_, watermark_};
 }
 
 std::uint64_t DeltaFolder::fold_watermark() const {

@@ -1,5 +1,7 @@
 #include "serve/model_generation.hpp"
 
+#include <utility>
+
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "obs/failpoint.hpp"
@@ -28,21 +30,27 @@ struct SwapMetrics {
 
 }  // namespace
 
-std::uint64_t ModelGeneration::SwapIn(std::unique_ptr<core::CfsfModel> model) {
+std::uint64_t ModelGeneration::SwapIn(
+    std::shared_ptr<const core::CfsfModel> model) {
   std::uint64_t generation = 0;
+  std::shared_ptr<const ServableModel> replaced;
   {
     util::MutexLock lock(&mutex_);
     generation = next_generation_++;
-    active_ = std::make_shared<const ServableModel>(std::move(model),
-                                                    generation);
+    replaced = std::exchange(
+        active_, std::make_shared<const ServableModel>(std::move(model),
+                                                       generation));
   }
+  // Dropped here, outside the lock every request's Active() takes: when
+  // no request pins it, this runs the whole model's destructor.
+  replaced.reset();
   SwapMetrics::Get().swaps.Increment();
   SwapMetrics::Get().generation.Set(static_cast<double>(generation));
   return generation;
 }
 
 std::uint64_t ModelGeneration::Install(
-    std::unique_ptr<core::CfsfModel> model) {
+    std::shared_ptr<const core::CfsfModel> model) {
   return SwapIn(std::move(model));
 }
 

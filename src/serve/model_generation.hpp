@@ -8,6 +8,8 @@
 // thread, completely off the request path; only the final pointer swap
 // takes the lock, and in-flight requests keep the generation they
 // grabbed alive through shared ownership until the last one drains.
+// The replaced generation is released after the lock is dropped, so the
+// last owner's model destructor never runs inside it.
 //
 //   swap thread:  VerifyModel → LoadModelWithRetry → swap
 //   request path: Active() — one shared_ptr copy under a short lock
@@ -31,10 +33,12 @@ namespace cfsf::serve {
 
 /// One immutable generation: the fitted model the degradation ladder
 /// runs over.  Requests hold it by shared_ptr, so a generation outlives
-/// its replacement until the last request finishes.
+/// its replacement until the last request finishes.  The model itself is
+/// shared too: a DeltaFolder's fold base and checkpoint snapshot are the
+/// same object, never a copy.
 class ServableModel {
  public:
-  ServableModel(std::unique_ptr<core::CfsfModel> model,
+  ServableModel(std::shared_ptr<const core::CfsfModel> model,
                 std::uint64_t generation)
       : model_(std::move(model)), generation_(generation) {}
 
@@ -43,7 +47,7 @@ class ServableModel {
   std::uint64_t generation() const { return generation_; }
 
  private:
-  std::unique_ptr<core::CfsfModel> model_;
+  std::shared_ptr<const core::CfsfModel> model_;
   std::uint64_t generation_;
 };
 
@@ -51,7 +55,7 @@ class ModelGeneration {
  public:
   /// Installs an already-fitted in-memory model (tests, first boot from
   /// a fit in the same process).  Returns the new generation id.
-  std::uint64_t Install(std::unique_ptr<core::CfsfModel> model)
+  std::uint64_t Install(std::shared_ptr<const core::CfsfModel> model)
       CFSF_EXCLUDES(mutex_);
 
   /// Loads `path` (CRC-audited via VerifyModel, transient faults
@@ -70,7 +74,7 @@ class ModelGeneration {
   std::uint64_t ActiveGeneration() const CFSF_EXCLUDES(mutex_);
 
  private:
-  std::uint64_t SwapIn(std::unique_ptr<core::CfsfModel> model)
+  std::uint64_t SwapIn(std::shared_ptr<const core::CfsfModel> model)
       CFSF_EXCLUDES(mutex_);
 
   mutable util::Mutex mutex_;

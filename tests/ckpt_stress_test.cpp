@@ -2,16 +2,20 @@
 // sanitizer presets): the whole checkpointed-ingestion pipeline under
 // concurrency — parallel appenders, the DeltaFolder's background fold
 // thread, the CheckpointManager's background checkpoint+compact thread,
-// and a reader hammering the snapshot/status surfaces — followed by a
-// full consistency audit and a cold recovery of whatever the run left
-// on disk.
+// and a reader hammering the snapshot/status surfaces and holding
+// snapshots and active generations across later folds — followed by a
+// full consistency audit (every held model unchanged and folded exactly
+// up to its watermark) and a cold recovery of whatever the run left on
+// disk.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -52,6 +56,53 @@ std::unique_ptr<core::CfsfModel> TinySeed() {
   return model;
 }
 
+// A digest of everything a generation serves from: every rating cell
+// and a grid of predictions.  A published model must never change, so
+// its digest at the end of the run equals the one taken when it was
+// first held.
+std::uint64_t Digest(const core::CfsfModel& model) {
+  std::uint64_t hash = 1469598103934665603ULL;
+  const auto mix = [&hash](std::uint64_t word) {
+    hash = (hash ^ word) * 1099511628211ULL;
+  };
+  for (const matrix::RatingTriple& t : model.train().ToTriples()) {
+    mix(t.user);
+    mix(t.item);
+    mix(std::bit_cast<std::uint32_t>(t.value));
+    mix(t.timestamp);
+  }
+  for (matrix::UserId u = 0; u < kUsers; u += 7) {
+    for (matrix::ItemId i = 0; i < kItems; i += 9) {
+      mix(std::bit_cast<std::uint64_t>(model.Predict(u, i)));
+    }
+  }
+  return hash;
+}
+
+// The model holds exactly the seed plus every record with
+// lsn <= watermark: each cell reads its last such write, or the seed's
+// rating where no such record wrote it.
+void ExpectFoldedUpTo(const core::CfsfModel& model, std::uint64_t watermark,
+                      const matrix::RatingMatrix& seed,
+                      const std::vector<matrix::RatingTriple>& by_lsn) {
+  std::vector<std::optional<matrix::Rating>> want(kUsers * kItems);
+  for (matrix::UserId u = 0; u < kUsers; ++u) {
+    for (matrix::ItemId i = 0; i < kItems; ++i) {
+      want[u * kItems + i] = seed.GetRating(u, i);
+    }
+  }
+  for (std::uint64_t lsn = 1; lsn <= watermark; ++lsn) {
+    const matrix::RatingTriple& r = by_lsn[lsn];
+    want[r.user * kItems + r.item] = r.value;
+  }
+  for (matrix::UserId u = 0; u < kUsers; ++u) {
+    for (matrix::ItemId i = 0; i < kItems; ++i) {
+      ASSERT_EQ(model.train().GetRating(u, i), want[u * kItems + i])
+          << "cell (" << u << ", " << i << ") at watermark " << watermark;
+    }
+  }
+}
+
 TEST(CkptStressTest, ConcurrentAppendFoldCheckpointCompactAndRead) {
   const std::string root =
       (fs::path(::testing::TempDir()) / "cfsf_ckpt_stress").string();
@@ -81,6 +132,10 @@ TEST(CkptStressTest, ConcurrentAppendFoldCheckpointCompactAndRead) {
 
     // Appenders: every record is in-matrix and carries a unique
     // request id, so dedup tables churn while nothing actually dedups.
+    // A thread rewrites each of its cells three times, so later folds
+    // overwrite cells that held snapshots already carry.
+    std::vector<std::vector<std::pair<std::uint64_t, matrix::RatingTriple>>>
+        acked(kAppenders);
     std::vector<std::thread> appenders;
     for (std::size_t t = 0; t < kAppenders; ++t) {
       appenders.emplace_back([&, t] {
@@ -96,22 +151,43 @@ TEST(CkptStressTest, ConcurrentAppendFoldCheckpointCompactAndRead) {
                          /*request_id=*/1 + t * kAppendsPerThread + i);
           ASSERT_TRUE(ack.durable);
           ASSERT_FALSE(ack.deduplicated);
+          acked[t].emplace_back(ack.lsn, record);
         }
       });
     }
 
     // Reader: hammers every cross-thread surface the checkpointer and
-    // /healthz use while the writers run.
+    // /healthz use while the writers run, and holds snapshots and
+    // active generations (with their digests) across later folds.
     std::atomic<bool> stop_reader{false};
+    std::vector<std::pair<serve::FoldSnapshot, std::uint64_t>> held_snapshots;
+    std::vector<std::pair<std::shared_ptr<const serve::ServableModel>,
+                          std::uint64_t>>
+        held_generations;
     std::thread reader([&] {
+      constexpr std::size_t kMaxHeld = 48;
       while (!stop_reader.load(std::memory_order_acquire)) {
-        const serve::ShadowSnapshot snapshot = folder.SnapshotShadow();
+        serve::FoldSnapshot snapshot = folder.Snapshot();
         ASSERT_NE(snapshot.model, nullptr);
         ASSERT_LE(snapshot.watermark, log.next_lsn() - 1);
         (void)manager.status();
         (void)folder.fold_watermark();
         (void)folder.skipped_records();
-        (void)models.Active();
+        auto active = models.Active();
+        ASSERT_NE(active, nullptr);
+        if (held_snapshots.empty() ||
+            (held_snapshots.size() < kMaxHeld &&
+             held_snapshots.back().first.watermark != snapshot.watermark)) {
+          const std::uint64_t digest = Digest(*snapshot.model);
+          held_snapshots.emplace_back(std::move(snapshot), digest);
+        }
+        if (held_generations.empty() ||
+            (held_generations.size() < kMaxHeld &&
+             held_generations.back().first->generation() !=
+                 active->generation())) {
+          const std::uint64_t digest = Digest(active->model());
+          held_generations.emplace_back(std::move(active), digest);
+        }
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
     });
@@ -140,6 +216,29 @@ TEST(CkptStressTest, ConcurrentAppendFoldCheckpointCompactAndRead) {
     EXPECT_EQ(status.failures, 0u) << status.last_error;
     EXPECT_FALSE(status.compaction_failed) << status.last_error;
     EXPECT_LE(status.last_watermark, kTotal);
+
+    // Every held model is as it was when first held, and every held
+    // snapshot holds exactly the records up to its watermark.
+    std::vector<matrix::RatingTriple> by_lsn(kTotal + 1);
+    for (const auto& thread_acks : acked) {
+      for (const auto& [lsn, record] : thread_acks) {
+        ASSERT_LE(lsn, kTotal);
+        by_lsn[lsn] = record;
+      }
+    }
+    const auto seed = TinySeed();
+    EXPECT_GT(held_snapshots.size(), 1u);
+    for (const auto& [snapshot, digest] : held_snapshots) {
+      EXPECT_EQ(Digest(*snapshot.model), digest)
+          << "snapshot at watermark " << snapshot.watermark << " changed";
+      ExpectFoldedUpTo(*snapshot.model, snapshot.watermark, seed->train(),
+                       by_lsn);
+    }
+    EXPECT_GT(held_generations.size(), 1u);
+    for (const auto& [generation, digest] : held_generations) {
+      EXPECT_EQ(Digest(generation->model()), digest)
+          << "generation " << generation->generation() << " changed";
+    }
     log.Close();
   }
 

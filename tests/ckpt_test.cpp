@@ -328,7 +328,7 @@ TEST_F(CkptTest, FoldWatermarkTracksDrainedRecordsIncludingSkips) {
   EXPECT_EQ(folder.fold_watermark(), 3u);
   EXPECT_EQ(folder.skipped_records(), 1u);
 
-  const serve::ShadowSnapshot snapshot = folder.SnapshotShadow();
+  const serve::FoldSnapshot snapshot = folder.Snapshot();
   ASSERT_NE(snapshot.model, nullptr);
   EXPECT_EQ(snapshot.watermark, 3u);
   ExpectFoldedUpTo(*snapshot.model, 2);

@@ -338,17 +338,6 @@ TEST_F(LadderTest, BatchBudgetOptionFlowsThroughPredictBatch) {
   }
 }
 
-TEST_F(LadderTest, DeadlineEarlierOfPicksTighterBudget) {
-  const auto unlimited = robust::Deadline();
-  const auto soon = robust::Deadline::After(std::chrono::microseconds(0));
-  const auto later = robust::Deadline::After(std::chrono::hours(1));
-  EXPECT_TRUE(robust::Deadline::EarlierOf(unlimited, unlimited).unlimited());
-  EXPECT_TRUE(robust::Deadline::EarlierOf(unlimited, soon).Expired());
-  EXPECT_TRUE(robust::Deadline::EarlierOf(soon, unlimited).Expired());
-  EXPECT_TRUE(robust::Deadline::EarlierOf(soon, later).Expired());
-  EXPECT_FALSE(robust::Deadline::EarlierOf(later, unlimited).Expired());
-}
-
 TEST_F(LadderTest, FloorRungPinsDegradedTiers) {
   const robust::Ladder ladder(Model());
   const auto sir_floor = ladder.PredictWithLadder(

@@ -17,10 +17,14 @@
 #include <utility>
 #include <vector>
 
+#include "ckpt/checkpoint_manager.hpp"
+#include "ckpt/recover.hpp"
 #include "core/cfsf.hpp"
 #include "core/model_io.hpp"
 #include "data/synthetic.hpp"
 #include "obs/failpoint.hpp"
+#include "obs/metrics.hpp"
+#include "obs/names.hpp"
 #include "serve/api.hpp"
 #include "serve/circuit_breaker.hpp"
 #include "serve/delta_folder.hpp"
@@ -28,6 +32,7 @@
 #include "serve/serving_stack.hpp"
 #include "serve/soak.hpp"
 #include "util/error.hpp"
+#include "wal/format.hpp"
 #include "wal/log.hpp"
 #include "wal/replay.hpp"
 
@@ -618,6 +623,110 @@ TEST_F(ServeTest, DeltaFolderBackgroundThreadPublishesWithoutPrompting) {
   EXPECT_EQ(folder.folded_records(), 1u);
   EXPECT_GE(models.ActiveGeneration(), 2u);
   std::filesystem::remove_all(dir);
+}
+
+// A fold that throws commits nothing: the drained batch stays pending,
+// folds first on the next pass, and the watermark a checkpoint persists
+// never passes it — so after compaction and recovery every acked record
+// is present, and the model equals Restore on seed + acked.
+TEST_F(ServeTest, FailedFoldKeepsItsBatchPendingUntilItCommits) {
+  const std::string root = FreshWalDir("cfsf_serve_fold_fault");
+  const std::string wal_dir = root + "/wal";
+  const std::string ckpt_dir = root + "/ckpt";
+  const auto seed = FreshModel();
+  std::vector<matrix::RatingTriple> acked;
+  {
+    wal::WalOptions wal_options;
+    wal_options.max_segment_bytes =
+        wal::kSegmentHeaderBytes + 2 * wal::kRecordBytes;
+    wal::WriteAheadLog log(wal_dir, wal_options);
+    ModelGeneration models;
+    serve::DeltaFolder folder(log, models, FreshModel());
+    ASSERT_EQ(folder.PublishNow(), 1u);
+
+    // Several records: fresh cells, an overwrite of a trained cell and
+    // a cell rated twice inside the batch.
+    const auto trained = seed->train().UserRow(3)[0];
+    const std::vector<matrix::RatingTriple> batch = {
+        {1, 2, 4.0F, 0},  {3, trained.index, 1.0F, 0}, {7, 11, 2.5F, 0},
+        {1, 2, 5.0F, 0},  {40, 70, 3.0F, 0},           {59, 79, 1.5F, 0}};
+    for (const auto& record : batch) {
+      ASSERT_TRUE(log.Append(record, /*require_durable=*/true).durable);
+      acked.push_back(record);
+    }
+    auto& failures = obs::MetricsRegistry::Global().GetCounter(
+        obs::names::kWalFoldFailures);
+    const std::uint64_t failures_before = failures.Value();
+    {
+      ScopedFailPoint fault("threadpool.task", "once");
+      EXPECT_THROW(folder.FoldOnce(), util::Error);
+    }
+    // Nothing committed: no watermark, no count, no generation.
+    EXPECT_EQ(folder.fold_watermark(), 0u);
+    EXPECT_EQ(folder.folded_records(), 0u);
+    EXPECT_EQ(models.ActiveGeneration(), 1u);
+    if (obs::MetricsEnabled()) {
+      EXPECT_EQ(failures.Value(), failures_before + 1);
+    }
+
+    const matrix::RatingTriple extra{20, 30, 4.5F, 0};
+    ASSERT_TRUE(log.Append(extra, /*require_durable=*/true).durable);
+    acked.push_back(extra);
+    EXPECT_EQ(folder.FoldOnce(), acked.size());
+    EXPECT_EQ(folder.folded_records(), acked.size());
+    EXPECT_EQ(folder.fold_watermark(), acked.size());
+    EXPECT_EQ(models.ActiveGeneration(), 2u);
+
+    ckpt::CheckpointOptions ckpt_options;
+    ckpt_options.dir = ckpt_dir;
+    ckpt::CheckpointManager manager(folder, log, ckpt_options);
+    EXPECT_EQ(manager.CheckpointNow(), 1u);
+    EXPECT_GT(manager.status().compacted_segments, 0u);
+    log.Close();
+  }
+
+  ckpt::RecoverOptions options;
+  options.ckpt_dir = ckpt_dir;
+  options.wal_dir = wal_dir;
+  options.seed_model = FreshModel;
+  const ckpt::RecoveryResult recovered = ckpt::Recover(options);
+  EXPECT_EQ(recovered.info.source, "checkpoint");
+  EXPECT_EQ(recovered.info.watermark, acked.size());
+  const core::CfsfModel& model = *recovered.model;
+  for (std::size_t k = 0; k < acked.size(); ++k) {
+    // The later of two writes to one cell is the one that must survive.
+    bool overwritten = false;
+    for (std::size_t later = k + 1; later < acked.size(); ++later) {
+      overwritten = overwritten || (acked[later].user == acked[k].user &&
+                                    acked[later].item == acked[k].item);
+    }
+    if (overwritten) continue;
+    EXPECT_EQ(model.train().GetRating(acked[k].user, acked[k].item),
+              acked[k].value)
+        << "acked record " << k << " lost";
+  }
+
+  // The oracle: a from-scratch Restore on seed + acked, same assignments.
+  matrix::RatingMatrixBuilder builder(seed->NumUsers(), seed->NumItems());
+  for (const auto& t : seed->train().ToTriples()) builder.Add(t);
+  for (const auto& t : acked) builder.Add(t);
+  matrix::RatingMatrix merged = builder.Build();
+  std::vector<std::uint32_t> assignments(seed->NumUsers());
+  for (matrix::UserId u = 0; u < assignments.size(); ++u) {
+    assignments[u] = seed->cluster_model().ClusterOf(u);
+  }
+  sim::GlobalItemSimilarity gis =
+      sim::GlobalItemSimilarity::Build(merged, seed->gis().config());
+  const auto oracle = core::CfsfModel::Restore(
+      seed->config(), std::move(merged), std::move(gis), std::move(assignments));
+  EXPECT_EQ(model.train().ToTriples(), oracle->train().ToTriples());
+  for (matrix::UserId u = 0; u < model.NumUsers(); u += 3) {
+    for (matrix::ItemId i = 0; i < model.NumItems(); i += 7) {
+      EXPECT_EQ(model.Predict(u, i), oracle->Predict(u, i))
+          << "user " << u << ", item " << i;
+    }
+  }
+  std::filesystem::remove_all(root);
 }
 
 // --------------------------------------------------------- hot swap ----
